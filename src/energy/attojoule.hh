@@ -13,13 +13,21 @@
  * Range: 2^64 aJ ≈ 18.4 J, far above anything an energy-harvesting
  * node moves per run (whole runs consume millijoules; the default
  * capacitor stores ~6 uJ). Conversions saturate defensively anyway.
+ *
+ * toAttojoules() runs several times per simulated event, so it rounds
+ * inline instead of calling libm; the proof that it matches llround()
+ * exactly assumes IEEE double semantics, hence the -ffast-math guard.
  */
 
 #ifndef WLCACHE_ENERGY_ATTOJOULE_HH
 #define WLCACHE_ENERGY_ATTOJOULE_HH
 
-#include <cmath>
+#include <cfloat>
 #include <cstdint>
+
+#if defined(__FAST_MATH__) || FLT_EVAL_METHOD != 0
+#error "toAttojoules() needs exact IEEE double arithmetic (no -ffast-math)"
+#endif
 
 namespace wlcache {
 namespace energy {
@@ -31,15 +39,30 @@ using Attojoules = std::uint64_t;
 constexpr double kAttojoulesPerJoule = 1.0e18;
 
 /**
- * Saturation ceiling for toAttojoules(): the largest value that stays
- * comfortably inside llround()'s defined int64 range (~9.2e18). ~9 J.
+ * Saturation ceiling for toAttojoules(), ~9 J. It is exactly
+ * representable as a double and below 2^63, so every value the
+ * quantizer rounds fits the int64 range llround() is defined on (the
+ * reference it must match).
  */
 constexpr Attojoules kMaxAttojoules = 9'000'000'000'000'000'000ull;
+static_assert(kMaxAttojoules < (Attojoules{ 1 } << 63),
+              "toAttojoules() must stay inside llround()'s domain");
 
 /**
- * Quantize a non-negative joule amount to whole attojoules (round to
- * nearest). This is the single quantizer every component shares: two
- * call sites quantizing the same double always agree.
+ * Quantize a non-negative joule amount to whole attojoules, rounding
+ * half away from zero exactly as std::llround() does. This is the
+ * single quantizer every component shares: two call sites quantizing
+ * the same double always agree.
+ *
+ * Why truncate-and-compare equals llround() for 0 < aj < 2^63: the
+ * cast truncates, so t = floor(aj) (aj is positive and t fits).
+ *  - aj < 2^53: t < 2^53 converts back to double exactly, and
+ *    aj - t is exact (t = 0 leaves aj; otherwise t <= aj <= 2t and
+ *    Sterbenz's lemma applies). So the compare sees the true
+ *    fraction, and a fraction of exactly 0.5 rounds up, like llround.
+ *  - aj >= 2^52: the double spacing is >= 1, so aj is already an
+ *    integer; t == aj, the fraction is 0 and nothing is added.
+ * The two ranges overlap, so every aj is covered.
  */
 inline Attojoules
 toAttojoules(double joules)
@@ -49,7 +72,8 @@ toAttojoules(double joules)
     const double aj = joules * kAttojoulesPerJoule;
     if (aj >= static_cast<double>(kMaxAttojoules))
         return kMaxAttojoules;
-    return static_cast<Attojoules>(std::llround(aj));
+    const auto t = static_cast<Attojoules>(aj);
+    return t + (aj - static_cast<double>(t) >= 0.5);
 }
 
 /**

@@ -1,9 +1,13 @@
 #include "energy/power_trace.hh"
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <istream>
+#include <map>
+#include <mutex>
 #include <ostream>
+#include <tuple>
 
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -108,57 +112,81 @@ powerCliNameList()
     return list;
 }
 
+PowerTrace::PowerTrace()
+{
+    static const std::shared_ptr<const Body> empty =
+        std::make_shared<Body>();
+    body_ = empty;
+}
+
 PowerTrace::PowerTrace(double sample_period_s,
                        std::vector<double> samples_w)
-    : sample_period_s_(sample_period_s), samples_w_(std::move(samples_w))
+    : sample_period_s_(sample_period_s)
 {
     wlc_assert(sample_period_s_ > 0.0);
-    wlc_assert(!samples_w_.empty());
+    wlc_assert(!samples_w.empty());
+    auto body = std::make_shared<Body>();
+    body->samples_w = std::move(samples_w);
+    body_ = std::move(body);
+}
+
+const std::string &
+PowerTrace::contentHash() const
+{
+    const Body &b = *body_;
+    std::call_once(b.hash_once, [&b] {
+        b.hash = util::fnv1a128Hex(b.samples_w.data(),
+                                   b.samples_w.size() * sizeof(double));
+    });
+    return b.hash;
 }
 
 double
 PowerTrace::powerAt(double t_s) const
 {
-    if (samples_w_.empty())
+    const std::vector<double> &samples_w = samples();
+    if (samples_w.empty())
         return 0.0;
     const double dur = duration();
     double t = std::fmod(t_s, dur);
     if (t < 0.0)
         t += dur;
     auto idx = static_cast<std::size_t>(t / sample_period_s_);
-    if (idx >= samples_w_.size())
-        idx = samples_w_.size() - 1;
-    return samples_w_[idx];
+    if (idx >= samples_w.size())
+        idx = samples_w.size() - 1;
+    return samples_w[idx];
 }
 
 double
 PowerTrace::duration() const
 {
-    return sample_period_s_ * static_cast<double>(samples_w_.size());
+    return sample_period_s_ * static_cast<double>(numSamples());
 }
 
 double
 PowerTrace::meanPower() const
 {
-    if (samples_w_.empty())
+    const std::vector<double> &samples_w = samples();
+    if (samples_w.empty())
         return 0.0;
     double sum = 0.0;
-    for (double w : samples_w_)
+    for (double w : samples_w)
         sum += w;
-    return sum / static_cast<double>(samples_w_.size());
+    return sum / static_cast<double>(samples_w.size());
 }
 
 double
 PowerTrace::variationCoefficient() const
 {
+    const std::vector<double> &samples_w = samples();
     const double m = meanPower();
-    if (m <= 0.0 || samples_w_.size() < 2)
+    if (m <= 0.0 || samples_w.size() < 2)
         return 0.0;
     double sq = 0.0;
-    for (double w : samples_w_)
+    for (double w : samples_w)
         sq += (w - m) * (w - m);
     const double sd =
-        std::sqrt(sq / static_cast<double>(samples_w_.size() - 1));
+        std::sqrt(sq / static_cast<double>(samples_w.size() - 1));
     return sd / m;
 }
 
@@ -184,7 +212,7 @@ void
 PowerTrace::save(std::ostream &os) const
 {
     writeExactDouble(os, sample_period_s_);
-    for (double w : samples_w_)
+    for (double w : samples())
         writeExactDouble(os, w);
 }
 
@@ -343,6 +371,43 @@ makeTrace(TraceKind kind, const TraceGenConfig &cfg, double constant_w)
       }
     }
     panic("unknown TraceKind %d", static_cast<int>(kind));
+}
+
+namespace {
+
+/** getPowerTrace() key: the kind and the exact bits of every field. */
+using PowerTraceKey =
+    std::tuple<TraceKind, std::uint64_t, std::uint64_t, std::uint64_t>;
+
+/**
+ * Process-wide power-trace memo, shared by every runner worker thread
+ * (mirrors workloads::getTrace). The mutex guards lookup and build;
+ * std::map nodes keep handed-out references stable across inserts.
+ */
+std::mutex power_trace_cache_mutex;
+
+std::map<PowerTraceKey, PowerTrace> &
+powerTraceCache()
+{
+    static std::map<PowerTraceKey, PowerTrace> cache;
+    return cache;
+}
+
+} // anonymous namespace
+
+const PowerTrace &
+getPowerTrace(TraceKind kind, const TraceGenConfig &cfg)
+{
+    const PowerTraceKey key{ kind, cfg.seed,
+                             std::bit_cast<std::uint64_t>(cfg.duration_s),
+                             std::bit_cast<std::uint64_t>(
+                                 cfg.sample_period_s) };
+    const std::lock_guard<std::mutex> lock(power_trace_cache_mutex);
+    auto &cache = powerTraceCache();
+    auto it = cache.find(key);
+    if (it == cache.end())
+        it = cache.emplace(key, makeTrace(kind, cfg)).first;
+    return it->second;
 }
 
 PowerTrace

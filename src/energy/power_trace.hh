@@ -16,6 +16,8 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -69,18 +71,26 @@ std::string powerCliNameList();
  * A piecewise-constant ambient power waveform. Sampled at a fixed
  * period; reads past the end wrap around, so a finite recording models
  * an arbitrarily long environment.
+ *
+ * The samples are immutable once built, and copies share them: copying
+ * a trace into a Harvester or a process-wide memo costs a reference
+ * count, not a 100k-sample copy. Moving copies too, so a moved-from
+ * trace stays valid.
  */
 class PowerTrace
 {
   public:
     /** Empty trace (powerAt() returns 0). */
-    PowerTrace() = default;
+    PowerTrace();
 
     /**
      * @param sample_period_s Seconds covered by each sample.
      * @param samples_w Power in watts for each period.
      */
     PowerTrace(double sample_period_s, std::vector<double> samples_w);
+
+    PowerTrace(const PowerTrace &) = default;
+    PowerTrace &operator=(const PowerTrace &) = default;
 
     /** Ambient power in watts at absolute time @p t_s (wraps). */
     double powerAt(double t_s) const;
@@ -89,8 +99,18 @@ class PowerTrace
     double duration() const;
 
     double samplePeriod() const { return sample_period_s_; }
-    std::size_t numSamples() const { return samples_w_.size(); }
-    const std::vector<double> &samples() const { return samples_w_; }
+    std::size_t numSamples() const { return body_->samples_w.size(); }
+    const std::vector<double> &samples() const
+    {
+        return body_->samples_w;
+    }
+
+    /**
+     * util::fnv1a128Hex() of the raw sample bytes. Computed on first
+     * use, at most once per sample set however many threads or copies
+     * ask; construction never pays for it.
+     */
+    const std::string &contentHash() const;
 
     /** Mean power over the whole recording, watts. */
     double meanPower() const;
@@ -105,8 +125,16 @@ class PowerTrace
     static PowerTrace load(std::istream &is);
 
   private:
+    /** Shared, immutable sample storage plus its lazily built hash. */
+    struct Body
+    {
+        std::vector<double> samples_w;
+        mutable std::once_flag hash_once;
+        mutable std::string hash;
+    };
+
     double sample_period_s_ = 1.0e-3;
-    std::vector<double> samples_w_;
+    std::shared_ptr<const Body> body_;
 };
 
 /** Tunable parameters for the synthetic trace generators. */
@@ -126,6 +154,16 @@ struct TraceGenConfig
  */
 PowerTrace makeTrace(TraceKind kind, const TraceGenConfig &cfg = {},
                      double constant_w = 5.0e-3);
+
+/**
+ * makeTrace(@p kind, @p cfg) built once per process and shared: a
+ * mutex-guarded memo keyed by the kind and every TraceGenConfig field
+ * (Constant uses makeTrace()'s default level). Each distinct key holds
+ * its samples (~0.8 MB at the default length) for the life of the
+ * process. The returned reference stays valid and the trace is never
+ * mutated, so any thread may read it without locking.
+ */
+const PowerTrace &getPowerTrace(TraceKind kind, const TraceGenConfig &cfg);
 
 /**
  * Derive a per-node trace from a shared environment envelope.

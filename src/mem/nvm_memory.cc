@@ -1,5 +1,7 @@
 #include "mem/nvm_memory.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -11,8 +13,22 @@
 namespace wlcache {
 namespace mem {
 
+NvmMemory::ZeroPages::ZeroPages(std::size_t bytes) : size_(bytes)
+{
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        fatal("cannot map %zu bytes of NVM backing store", bytes);
+    data_ = static_cast<std::uint8_t *>(p);
+}
+
+NvmMemory::ZeroPages::~ZeroPages()
+{
+    munmap(data_, size_);
+}
+
 NvmMemory::NvmMemory(const NvmParams &params, energy::EnergyMeter *meter)
-    : params_(params), meter_(meter), data_(params.size_bytes, 0),
+    : params_(params), meter_(meter), data_(params.size_bytes),
       model_(NvmTimingModel::create(params)),
       stat_group_("nvm"),
       stat_reads_(stat_group_.addScalar("reads", "NVM read accesses")),
@@ -75,7 +91,8 @@ void
 NvmMemory::checkRange(Addr addr, unsigned bytes) const
 {
     wlc_assert(bytes > 0);
-    wlc_assert(addr + bytes <= data_.size(),
+    // Never form addr + bytes: a huge addr would wrap past the check.
+    wlc_assert(bytes <= data_.size() && addr <= data_.size() - bytes,
                "NVM access out of range: addr=0x%llx size=%u",
                static_cast<unsigned long long>(addr), bytes);
 }
@@ -287,11 +304,11 @@ NvmMemory::peekInt(Addr addr, unsigned bytes) const
 std::vector<std::uint8_t>
 NvmMemory::snapshotRange(Addr addr, std::size_t bytes) const
 {
-    wlc_assert(addr + bytes <= data_.size(),
+    wlc_assert(bytes <= data_.size() && addr <= data_.size() - bytes,
                "NVM snapshot out of range: addr=0x%llx size=%zu",
                static_cast<unsigned long long>(addr), bytes);
-    return { data_.begin() + static_cast<std::ptrdiff_t>(addr),
-             data_.begin() + static_cast<std::ptrdiff_t>(addr + bytes) };
+    const std::uint8_t *first = data_.data() + addr;
+    return { first, first + bytes };
 }
 
 std::uint64_t
@@ -446,12 +463,22 @@ NvmMemory::restoreState(SnapshotReader &r)
         hybrid_->restoreState(r);
 
     touched_pages_.clear();
+    const std::uint64_t pages =
+        (data_.size() + kJournalPageBytes - 1) / kJournalPageBytes;
     const std::uint64_t n_pages = r.u64();
     for (std::uint64_t i = 0; i < n_pages; ++i) {
         const std::uint64_t p = r.u64();
         const std::uint64_t n = r.u64();
+        // Snapshot bytes carry no checksum: bound the page index and
+        // length before multiplying, so a corrupt index cannot wrap
+        // the offset back inside (or in front of) the array.
+        wlc_assert(p < pages && n <= kJournalPageBytes,
+                   "snapshot journal page out of range: page=%llu "
+                   "bytes=%llu",
+                   static_cast<unsigned long long>(p),
+                   static_cast<unsigned long long>(n));
         const std::size_t off = p * kJournalPageBytes;
-        wlc_assert(off + n <= data_.size(),
+        wlc_assert(n <= data_.size() - off,
                    "snapshot journal page out of range");
         r.bytes(data_.data() + off, n);
         touched_pages_.insert(p);

@@ -54,7 +54,8 @@ struct NvmAccessResult
 /**
  * Byte-addressable non-volatile main memory with one channel.
  * Functional state is a flat byte array; all accesses are bounds
- * checked against the configured size.
+ * checked against the configured size. The array is lazily zeroed
+ * (see ZeroPages), so construction does not scale with its size.
  */
 class NvmMemory
 {
@@ -203,6 +204,29 @@ class NvmMemory
     void restoreState(SnapshotReader &r);
 
   private:
+    /**
+     * Owns an anonymous private mapping of @p bytes. The kernel hands
+     * out zero pages on first touch, so the array reads as zeros
+     * without being cleared, and pages no run writes are never
+     * faulted in.
+     */
+    class ZeroPages
+    {
+      public:
+        explicit ZeroPages(std::size_t bytes);
+        ~ZeroPages();
+        ZeroPages(const ZeroPages &) = delete;
+        ZeroPages &operator=(const ZeroPages &) = delete;
+
+        std::uint8_t *data() { return data_; }
+        const std::uint8_t *data() const { return data_; }
+        std::size_t size() const { return size_; }
+
+      private:
+        std::uint8_t *data_;
+        std::size_t size_;
+    };
+
     void checkRange(Addr addr, unsigned bytes) const;
 
     /** Timing/wear identity of @p addr (rotation remap applied). */
@@ -221,7 +245,7 @@ class NvmMemory
     NvmParams params_;
     energy::EnergyMeter *meter_;
     telemetry::TimelineBuffer *tl_ = nullptr;
-    std::vector<std::uint8_t> data_;
+    ZeroPages data_;
     std::unique_ptr<NvmTimingModel> model_;
     std::unique_ptr<WearTracker> wear_;
     std::unique_ptr<WearRotator> rotator_;

@@ -31,15 +31,16 @@ runExperimentEx(const ExperimentSpec &spec, const RunOptions &opts)
 
     energy::TraceGenConfig tg;
     tg.seed = spec.power_seed;
-    energy::PowerTrace power =
-        energy::makeTrace(spec.no_failure ? energy::TraceKind::Constant
-                                          : spec.power,
-                          tg);
+    const energy::PowerTrace &base = energy::getPowerTrace(
+        spec.no_failure ? energy::TraceKind::Constant : spec.power, tg);
     // Fleet runs: same environment envelope, node-local gain. Skipped
-    // under no_failure (infinite power has no jitter to model).
-    if (spec.power_jitter > 0.0 && !spec.no_failure)
-        power = energy::deriveNodeTrace(power, spec.power_node,
-                                        spec.power_jitter);
+    // under no_failure (infinite power has no jitter to model). The
+    // plain copy shares the memoized samples and their hash.
+    const energy::PowerTrace power =
+        spec.power_jitter > 0.0 && !spec.no_failure
+            ? energy::deriveNodeTrace(base, spec.power_node,
+                                      spec.power_jitter)
+            : base;
 
     SystemSim sim(cfg, trace, power, spec.no_failure);
     return sim.run(opts);

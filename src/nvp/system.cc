@@ -124,10 +124,7 @@ SystemSim::SystemSim(const SystemConfig &cfg,
        << "trace_events=" << trace_.events.size() << '\n'
        << "infinite_power=" << (harvester_.infinite() ? 1 : 0) << '\n'
        << "power_period=" << power.samplePeriod() << '\n'
-       << "power_hash="
-       << util::fnv1a128Hex(power.samples().data(),
-                            power.samples().size() * sizeof(double))
-       << '\n'
+       << "power_hash=" << power.contentHash() << '\n'
        << "snapshot_format=" << SystemSnapshot::kFormatVersion << '\n';
     const std::string key_text = ks.str();
     snapshot_key_ = util::fnv1a128Hex(key_text.data(), key_text.size());

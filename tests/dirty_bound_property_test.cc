@@ -13,6 +13,7 @@
  */
 
 #include <algorithm>
+#include <ostream>
 #include <gtest/gtest.h>
 
 #include "core/wl_cache.hh"
@@ -31,6 +32,16 @@ struct Scenario
     bool adaptive;
     bool dynamic;
 };
+
+/* Print the fields, not gtest's default byte dump: that dump holds
+ * the workload pointer, so the discovered ctest names would change
+ * from run to run under address-space randomisation. */
+void
+PrintTo(const Scenario &s, std::ostream *os)
+{
+    *os << s.workload << " maxline=" << s.maxline
+        << " adaptive=" << s.adaptive << " dynamic=" << s.dynamic;
+}
 
 class DirtyBoundProperty : public ::testing::TestWithParam<Scenario>
 {};

@@ -15,7 +15,10 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -294,4 +297,126 @@ TEST(SolverProperty, QuantizerEdges)
     // exactly-representable double).
     EXPECT_EQ(toJoules(0), 0.0);
     EXPECT_DOUBLE_EQ(toJoules(kMaxAttojoules), 9.0);
+}
+
+namespace {
+
+/**
+ * The libm quantizer toAttojoules() replaced: same guards, then
+ * std::llround (round half away from zero). The inline rounding must
+ * reproduce it bit for bit.
+ */
+Attojoules
+llroundAttojoules(double joules)
+{
+    if (!(joules > 0.0))
+        return 0;
+    const double aj = joules * kAttojoulesPerJoule;
+    if (aj >= static_cast<double>(kMaxAttojoules))
+        return kMaxAttojoules;
+    return static_cast<Attojoules>(std::llround(aj));
+}
+
+/** Count of inputs where toAttojoules() and the reference disagree. */
+struct QuantizerCheck
+{
+    std::uint64_t checked = 0;
+    std::uint64_t mismatches = 0;
+
+    void operator()(double joules)
+    {
+        ++checked;
+        if (toAttojoules(joules) != llroundAttojoules(joules)) {
+            if (++mismatches <= 5)
+                ADD_FAILURE() << "toAttojoules(" << joules << ") = "
+                              << toAttojoules(joules) << ", llround "
+                              << llroundAttojoules(joules);
+        }
+    }
+};
+
+} // namespace
+
+TEST(SolverProperty, QuantizerMatchesLlroundOnTies)
+{
+    // Every tie k + 0.5 aJ and both neighbouring doubles, for
+    // k < 2^20, entered in joules as the callers do.
+    QuantizerCheck check;
+    std::uint64_t exact_ties = 0;
+    const double inf = std::numeric_limits<double>::infinity();
+    for (std::uint64_t k = 0; k < (1u << 20); ++k) {
+        const double tie = static_cast<double>(k) + 0.5;
+        for (const double aj : { std::nextafter(tie, 0.0), tie,
+                                 std::nextafter(tie, inf) }) {
+            const double joules = aj / kAttojoulesPerJoule;
+            check(joules);
+            if (joules * kAttojoulesPerJoule == tie)
+                ++exact_ties;
+        }
+    }
+    EXPECT_EQ(check.mismatches, 0u) << "of " << check.checked;
+    // The round trip through joules lands on an exact tie often
+    // enough that the half-way branch is really exercised.
+    EXPECT_GT(exact_ties, 100000u);
+}
+
+TEST(SolverProperty, QuantizerMatchesLlroundAtBinadeEdges)
+{
+    QuantizerCheck check;
+    const double inf = std::numeric_limits<double>::infinity();
+    // 2^40 ... 2^63 aJ: the 2^52 / 2^53 edges where the double
+    // spacing reaches 1 and 2, and the top of the int64 range.
+    for (int e = 40; e <= 63; ++e) {
+        const double edge = std::ldexp(1.0, e);
+        for (const double aj :
+             { std::nextafter(edge, 0.0), edge, std::nextafter(edge, inf),
+               edge - 0.5, edge + 0.5, edge - 1.5, edge + 1.5 }) {
+            check(aj / kAttojoulesPerJoule);
+        }
+    }
+    const double top = static_cast<double>(kMaxAttojoules);
+    for (const double aj :
+         { std::nextafter(top, 0.0), top, std::nextafter(top, inf) })
+        check(aj / kAttojoulesPerJoule);
+    EXPECT_EQ(check.mismatches, 0u) << "of " << check.checked;
+
+    // Just under the ceiling rounds; at and above it saturates.
+    EXPECT_LT(toAttojoules(std::nextafter(top, 0.0) / kAttojoulesPerJoule),
+              kMaxAttojoules);
+    EXPECT_EQ(toAttojoules(std::nextafter(top, inf) / kAttojoulesPerJoule),
+              kMaxAttojoules);
+}
+
+TEST(SolverProperty, QuantizerSpecialValues)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    QuantizerCheck check;
+    for (const double j : { 0.0, -0.0, -1.0, nan, inf, -inf, tiny })
+        check(j);
+    EXPECT_EQ(check.mismatches, 0u);
+    EXPECT_EQ(toAttojoules(-0.0), 0u);
+    EXPECT_EQ(toAttojoules(nan), 0u);
+    EXPECT_EQ(toAttojoules(-inf), 0u);
+    EXPECT_EQ(toAttojoules(inf), kMaxAttojoules);
+    EXPECT_EQ(toAttojoules(tiny), 0u);
+}
+
+TEST(SolverProperty, QuantizerMatchesLlroundOnRandomBitPatterns)
+{
+    Rng rng(0x9a47u);
+    QuantizerCheck check;
+    // Arbitrary positive doubles: NaNs, infinities, subnormals and
+    // every exponent.
+    for (unsigned i = 0; i < 1000000; ++i)
+        check(std::bit_cast<double>(rng.next() >> 1));
+    // Positive doubles from 2^-62 J (~0.2 aJ) to 2^6 J (past the
+    // saturation ceiling), where the rounding step does the work.
+    for (unsigned i = 0; i < 1000000; ++i) {
+        const std::uint64_t exp = 1023 - 62 + rng.nextBelow(68);
+        const std::uint64_t mant = rng.next() & ((1ull << 52) - 1);
+        check(std::bit_cast<double>(exp << 52 | mant));
+    }
+    EXPECT_EQ(check.mismatches, 0u) << "of " << check.checked;
 }

@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "energy/capacitor.hh"
 #include "energy/energy_meter.hh"
 #include "energy/harvester.hh"
 #include "energy/power_trace.hh"
+#include "util/strings.hh"
 
 using namespace wlcache;
 using namespace wlcache::energy;
@@ -192,6 +196,127 @@ TEST(PowerTrace, KindNames)
     EXPECT_STREQ(traceKindName(TraceKind::RfHome), "trace1");
     EXPECT_STREQ(traceKindName(TraceKind::RfMementos), "trace3");
     EXPECT_STREQ(traceKindName(TraceKind::Thermal), "thermal");
+}
+
+namespace {
+
+constexpr TraceKind kEveryTraceKind[] = {
+    TraceKind::RfHome, TraceKind::RfOffice, TraceKind::RfMementos,
+    TraceKind::Solar,  TraceKind::Thermal,  TraceKind::Constant,
+};
+
+/** Raw-byte equality: a memo must not perturb a single sample bit. */
+bool
+sameBytes(const PowerTrace &a, const PowerTrace &b)
+{
+    return a.samplePeriod() == b.samplePeriod() &&
+        a.numSamples() == b.numSamples() &&
+        std::memcmp(a.samples().data(), b.samples().data(),
+                    a.numSamples() * sizeof(double)) == 0;
+}
+
+std::string
+hashOfSamples(const PowerTrace &t)
+{
+    return util::fnv1a128Hex(t.samples().data(),
+                             t.numSamples() * sizeof(double));
+}
+
+} // namespace
+
+TEST(PowerTraceMemo, MatchesMakeTraceForEveryKind)
+{
+    TraceGenConfig cfg;
+    cfg.seed = 11;
+    for (const TraceKind k : kEveryTraceKind) {
+        const PowerTrace &memo = getPowerTrace(k, cfg);
+        EXPECT_TRUE(sameBytes(memo, makeTrace(k, cfg)))
+            << traceKindName(k);
+        // A second lookup is the same object.
+        EXPECT_EQ(&getPowerTrace(k, cfg), &memo) << traceKindName(k);
+    }
+}
+
+TEST(PowerTraceMemo, EveryConfigFieldIsPartOfTheKey)
+{
+    TraceGenConfig base;
+    base.seed = 12;
+    base.duration_s = 0.1;
+    TraceGenConfig seed = base;
+    seed.seed = 13;
+    TraceGenConfig duration = base;
+    duration.duration_s = 0.2;
+    TraceGenConfig period = base;
+    period.sample_period_s = 40.0e-6;
+
+    const PowerTrace *b = &getPowerTrace(TraceKind::RfHome, base);
+    const PowerTrace *others[] = {
+        &getPowerTrace(TraceKind::RfHome, seed),
+        &getPowerTrace(TraceKind::RfHome, duration),
+        &getPowerTrace(TraceKind::RfHome, period),
+        &getPowerTrace(TraceKind::RfOffice, base),
+    };
+    for (const PowerTrace *o : others) {
+        EXPECT_NE(o, b);
+        EXPECT_FALSE(sameBytes(*o, *b));
+    }
+    EXPECT_TRUE(sameBytes(*others[0],
+                          makeTrace(TraceKind::RfHome, seed)));
+    EXPECT_TRUE(sameBytes(*others[1],
+                          makeTrace(TraceKind::RfHome, duration)));
+    EXPECT_TRUE(sameBytes(*others[2],
+                          makeTrace(TraceKind::RfHome, period)));
+}
+
+TEST(PowerTrace, ContentHashIsTheSampleHash)
+{
+    TraceGenConfig cfg;
+    cfg.seed = 14;
+    cfg.duration_s = 0.05;
+    const PowerTrace made = makeTrace(TraceKind::Solar, cfg);
+    EXPECT_EQ(made.contentHash(), hashOfSamples(made));
+
+    const PowerTrace copy = made;
+    PowerTrace assigned;
+    assigned = made;
+    EXPECT_EQ(copy.contentHash(), made.contentHash());
+    EXPECT_EQ(assigned.contentHash(), made.contentHash());
+
+    const PowerTrace &memo = getPowerTrace(TraceKind::Solar, cfg);
+    EXPECT_EQ(memo.contentHash(), made.contentHash());
+
+    // Distinct samples, distinct hash; the empty trace hashes no bytes.
+    const PowerTrace other(1.0, { 1.0, 2.0 });
+    EXPECT_NE(other.contentHash(), made.contentHash());
+    EXPECT_EQ(other.contentHash(), hashOfSamples(other));
+    EXPECT_EQ(PowerTrace().contentHash(), util::fnv1a128Hex(nullptr, 0));
+}
+
+TEST(PowerTraceMemo, ConcurrentLookupsShareOneTraceAndOneHash)
+{
+    // A key no other test uses, so the threads race on the build and
+    // on the first contentHash() call.
+    TraceGenConfig cfg;
+    cfg.seed = 0xc0cu;
+    cfg.duration_s = 0.5;
+    constexpr unsigned kThreads = 8;
+    const PowerTrace *trace[kThreads] = {};
+    const std::string *hash[kThreads] = {};
+    std::vector<std::thread> threads;
+    for (unsigned i = 0; i < kThreads; ++i) {
+        threads.emplace_back([&, i] {
+            const PowerTrace &t = getPowerTrace(TraceKind::RfOffice, cfg);
+            trace[i] = &t;
+            hash[i] = &t.contentHash();
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (unsigned i = 1; i < kThreads; ++i) {
+        EXPECT_EQ(trace[i], trace[0]);
+        EXPECT_EQ(hash[i], hash[0]);
+    }
+    EXPECT_EQ(*hash[0], hashOfSamples(*trace[0]));
 }
 
 TEST(Harvester, AdvanceDepositsPower)

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "energy/energy_meter.hh"
 #include "mem/nvm_memory.hh"
 #include "mem/persist_checker.hh"
+#include "sim/snapshot.hh"
 
 using namespace wlcache;
 using namespace wlcache::mem;
@@ -140,6 +144,124 @@ TEST(Nvm, ResetStatsKeepsContents)
     nvm.resetStats();
     EXPECT_EQ(nvm.numWrites(), 0u);
     EXPECT_EQ(nvm.peekInt(0x20, 4), 77u);
+}
+
+namespace {
+
+/** Every byte of @p nvm outside the written set must read zero. */
+void
+expectFreshZeros(const NvmMemory &nvm)
+{
+    const std::size_t size = nvm.sizeBytes();
+    EXPECT_EQ(nvm.peekInt(0, 1), 0u);
+    EXPECT_EQ(nvm.peekInt(size - 1, 1), 0u);
+    // A page nothing has written, read whole.
+    const std::vector<std::uint8_t> page =
+        nvm.snapshotRange(size / 2, NvmMemory::kJournalPageBytes);
+    for (const std::uint8_t b : page)
+        ASSERT_EQ(b, 0u);
+}
+
+} // namespace
+
+TEST(Nvm, FreshMemoryReadsZero)
+{
+    // The default (full-size) array, as every system builds it.
+    const NvmParams params;
+    {
+        NvmMemory nvm(params);
+        expectFreshZeros(nvm);
+        // Dirty the probed bytes, then drop the instance: the next
+        // same-size memory may reuse its address range.
+        const std::uint8_t ff = 0xff;
+        std::vector<std::uint8_t> page(NvmMemory::kJournalPageBytes, 0xa5);
+        nvm.poke(0, 1, &ff);
+        nvm.poke(static_cast<Addr>(nvm.sizeBytes() - 1), 1, &ff);
+        nvm.poke(static_cast<Addr>(nvm.sizeBytes() / 2),
+                 static_cast<unsigned>(page.size()), page.data());
+    }
+    NvmMemory again(params);
+    expectFreshZeros(again);
+    EXPECT_EQ(again.journalPages(), 0u);
+}
+
+TEST(Nvm, JournalAndSnapshotRoundTrip)
+{
+    const NvmParams p = smallParams();
+    const std::uint8_t image[3] = { 1, 2, 3 };
+    NvmMemory nvm(p);
+    nvm.poke(0x10, 3, image);
+    nvm.clearJournal();
+    EXPECT_EQ(nvm.journalPages(), 0u);
+
+    const std::uint32_t v = 0x12345678;
+    nvm.write(0x2000, 4, &v, 0);     // page 2
+    nvm.write(0x2ffe, 4, &v, 10);    // straddles pages 2 and 3
+    nvm.write(0xfffc, 4, &v, 20);    // the last page
+    EXPECT_EQ(nvm.journalPages(), 3u);
+
+    SnapshotWriter w;
+    nvm.saveState(w);
+
+    // Restore onto a fresh memory holding the same initial image.
+    NvmMemory restored(p);
+    restored.poke(0x10, 3, image);
+    restored.clearJournal();
+    SnapshotReader r(w.data());
+    restored.restoreState(r);
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(restored.journalPages(), 3u);
+    EXPECT_EQ(restored.snapshotRange(0, p.size_bytes),
+              nvm.snapshotRange(0, p.size_bytes));
+    EXPECT_EQ(restored.numWrites(), nvm.numWrites());
+
+    SnapshotWriter again;
+    restored.saveState(again);
+    EXPECT_EQ(again.data(), w.data());
+}
+
+TEST(NvmDeathTest, RestoreRejectsOutOfRangeJournalPage)
+{
+    // One full journal page: the stream ends with its index, its
+    // length and its 4096 bytes.
+    const NvmParams p = smallParams();
+    NvmMemory nvm(p);
+    const std::uint32_t v = 7;
+    nvm.write(0x3000, 4, &v, 0);
+    ASSERT_EQ(nvm.journalPages(), 1u);
+    SnapshotWriter w;
+    nvm.saveState(w);
+    const std::vector<std::uint8_t> saved = w.data();
+    const std::size_t index_at =
+        saved.size() - NvmMemory::kJournalPageBytes - 16;
+    std::uint64_t saved_index = 0;
+    std::memcpy(&saved_index, saved.data() + index_at, 8);
+    ASSERT_EQ(saved_index, 3u);
+
+    // 2^52 - 1 makes index * 4096 + 4096 wrap to 0; the others are
+    // the first index past the end and an absurd one.
+    const std::uint64_t pages = p.size_bytes / NvmMemory::kJournalPageBytes;
+    for (const std::uint64_t bad :
+         { (std::uint64_t{ 1 } << 52) - 1, pages, ~std::uint64_t{ 0 } }) {
+        std::vector<std::uint8_t> patched = saved;
+        std::memcpy(patched.data() + index_at, &bad, 8);
+        NvmMemory target(p);
+        SnapshotReader r(patched);
+        EXPECT_DEATH(target.restoreState(r),
+                     "journal page out of range");
+    }
+}
+
+TEST(NvmDeathTest, AccessesNearTheAddressLimitAreRejected)
+{
+    NvmMemory nvm(smallParams());
+    std::uint32_t out = 0;
+    // addr + bytes wraps to a small value: must still be caught.
+    const Addr wrap = ~Addr{ 0 } - 1;
+    EXPECT_DEATH(nvm.peek(wrap, 4, &out), "out of range");
+    EXPECT_DEATH(nvm.snapshotRange(wrap, 4), "out of range");
+    EXPECT_DEATH(nvm.snapshotRange(0, nvm.sizeBytes() + 1),
+                 "out of range");
 }
 
 TEST(PersistChecker, TracksStores)
