@@ -1,7 +1,5 @@
 #include "cache/base_tag_cache.hh"
 
-#include <cstring>
-
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
 #include "telemetry/timeline.hh"
@@ -13,48 +11,15 @@ BaseTagCache::BaseTagCache(const std::string &name,
                            const CacheParams &params, mem::NvmMemory &nvm,
                            energy::EnergyMeter *meter)
     : DataCache(name), params_(params), tags_(params), nvm_(nvm),
-      meter_(meter)
+      meter_(meter),
+      read_aj_(energy::quantizeCharge(params.access_energy_read)),
+      write_aj_(energy::quantizeCharge(params.access_energy_write)),
+      fill_aj_(energy::quantizeCharge(params.line_fill_energy)),
+      line_read_aj_(energy::quantizeCharge(params.line_read_energy)),
+      repl_aj_(params.repl == ReplPolicy::LRU
+                   ? energy::quantizeCharge(params.lru_update_energy)
+                   : 0)
 {
-}
-
-void
-BaseTagCache::chargeArrayRead()
-{
-    if (meter_)
-        meter_->add(energy::EnergyCategory::CacheRead,
-                    params_.access_energy_read);
-}
-
-void
-BaseTagCache::chargeArrayWrite()
-{
-    if (meter_)
-        meter_->add(energy::EnergyCategory::CacheWrite,
-                    params_.access_energy_write);
-}
-
-void
-BaseTagCache::chargeReplUpdate()
-{
-    if (meter_ && params_.repl == ReplPolicy::LRU)
-        meter_->add(energy::EnergyCategory::CacheWrite,
-                    params_.lru_update_energy);
-}
-
-void
-BaseTagCache::chargeLineFill()
-{
-    if (meter_)
-        meter_->add(energy::EnergyCategory::CacheWrite,
-                    params_.line_fill_energy);
-}
-
-void
-BaseTagCache::chargeLineRead()
-{
-    if (meter_)
-        meter_->add(energy::EnergyCategory::CacheRead,
-                    params_.line_read_energy);
 }
 
 std::pair<LineRef, Cycle>
@@ -78,7 +43,7 @@ BaseTagCache::fillLine(Addr addr, Cycle now)
     }
     // Fetch the newest persisted line image (home NVM, or the
     // journal for log-structured designs).
-    std::uint8_t buf[256];
+    std::uint8_t buf[kMaxLineBytes];
     wlc_assert(tags_.lineBytes() <= sizeof(buf));
     t = readLineImage(laddr, buf, tags_.lineBytes(), t);
     tags_.install(victim, laddr, buf);
@@ -96,27 +61,6 @@ BaseTagCache::writeBackLine(LineRef ref, Cycle now)
                                     tags_.lineBytes(), now);
     ++stats_.writebacks;
     return ready;
-}
-
-void
-BaseTagCache::writeLineData(LineRef ref, Addr addr, unsigned bytes,
-                            std::uint64_t value)
-{
-    const unsigned off = tags_.lineOffset(addr);
-    wlc_assert(off + bytes <= tags_.lineBytes(),
-               "store crosses a cache line boundary");
-    std::memcpy(tags_.data(ref) + off, &value, bytes);
-}
-
-std::uint64_t
-BaseTagCache::readLineData(LineRef ref, Addr addr, unsigned bytes) const
-{
-    const unsigned off = tags_.lineOffset(addr);
-    wlc_assert(off + bytes <= tags_.lineBytes(),
-               "load crosses a cache line boundary");
-    std::uint64_t v = 0;
-    std::memcpy(&v, tags_.data(ref) + off, bytes);
-    return v;
 }
 
 void

@@ -9,6 +9,8 @@
 #ifndef WLCACHE_CACHE_BASE_TAG_CACHE_HH
 #define WLCACHE_CACHE_BASE_TAG_CACHE_HH
 
+#include <cstring>
+
 #include "cache/cache_iface.hh"
 #include "cache/tag_array.hh"
 #include "energy/energy_meter.hh"
@@ -47,15 +49,45 @@ class BaseTagCache : public DataCache
 
   protected:
     /** Charge cache-array read energy for a word-sized access. */
-    void chargeArrayRead();
+    void
+    chargeArrayRead()
+    {
+        if (meter_)
+            meter_->addAj(energy::EnergyCategory::CacheRead, read_aj_);
+    }
+
     /** Charge cache-array write energy for a word-sized access. */
-    void chargeArrayWrite();
-    /** Charge the LRU bookkeeping cost when the policy is LRU. */
-    void chargeReplUpdate();
+    void
+    chargeArrayWrite()
+    {
+        if (meter_)
+            meter_->addAj(energy::EnergyCategory::CacheWrite, write_aj_);
+    }
+
+    /** Charge the LRU bookkeeping cost (zero under FIFO). */
+    void
+    chargeReplUpdate()
+    {
+        if (meter_)
+            meter_->addAj(energy::EnergyCategory::CacheWrite, repl_aj_);
+    }
+
     /** Charge a full-line array fill. */
-    void chargeLineFill();
+    void
+    chargeLineFill()
+    {
+        if (meter_)
+            meter_->addAj(energy::EnergyCategory::CacheWrite, fill_aj_);
+    }
+
     /** Charge a full-line array read (write-back sourcing). */
-    void chargeLineRead();
+    void
+    chargeLineRead()
+    {
+        if (meter_)
+            meter_->addAj(energy::EnergyCategory::CacheRead,
+                          line_read_aj_);
+    }
 
     /**
      * Miss path: pick a victim in @p addr's set, write it back to NVM
@@ -97,17 +129,41 @@ class BaseTagCache : public DataCache
     }
 
     /** Copy @p bytes of @p value into the line at @p addr. */
-    void writeLineData(LineRef ref, Addr addr, unsigned bytes,
-                       std::uint64_t value);
+    void
+    writeLineData(LineRef ref, Addr addr, unsigned bytes,
+                  std::uint64_t value)
+    {
+        const unsigned off = tags_.lineOffset(addr);
+        wlc_assert(off + bytes <= tags_.lineBytes(),
+                   "store crosses a cache line boundary");
+        std::memcpy(tags_.data(ref) + off, &value, bytes);
+    }
 
     /** Read @p bytes from the line at @p addr (little-endian). */
-    std::uint64_t readLineData(LineRef ref, Addr addr,
-                               unsigned bytes) const;
+    std::uint64_t
+    readLineData(LineRef ref, Addr addr, unsigned bytes) const
+    {
+        const unsigned off = tags_.lineOffset(addr);
+        wlc_assert(off + bytes <= tags_.lineBytes(),
+                   "load crosses a cache line boundary");
+        std::uint64_t v = 0;
+        std::memcpy(&v, tags_.data(ref) + off, bytes);
+        return v;
+    }
 
     CacheParams params_;
     TagArray tags_;
     mem::NvmMemory &nvm_;
     energy::EnergyMeter *meter_;
+
+  private:
+    // Per-access energies, quantized once from params_ (derived
+    // state: never serialized). repl_aj_ is 0 under FIFO.
+    energy::Attojoules read_aj_;
+    energy::Attojoules write_aj_;
+    energy::Attojoules fill_aj_;
+    energy::Attojoules line_read_aj_;
+    energy::Attojoules repl_aj_;
 };
 
 } // namespace cache

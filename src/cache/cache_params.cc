@@ -34,6 +34,9 @@ CacheParams::validate() const
     if (line_bytes == 0 || !util::isPowerOfTwo(line_bytes))
         fatal("cache line size must be a power of two (got %u)",
               line_bytes);
+    if (line_bytes > kMaxLineBytes)
+        fatal("cache line size must be at most %u bytes (got %u)",
+              kMaxLineBytes, line_bytes);
     if (size_bytes == 0 || size_bytes % line_bytes != 0)
         fatal("cache size must be a multiple of the line size");
     if (assoc == 0 || numLines() % assoc != 0)

@@ -17,6 +17,14 @@
 namespace wlcache {
 namespace cache {
 
+/**
+ * Largest cache line any design accepts, bytes. Miss and persist
+ * paths stage one line in a stack buffer of this size, and the NVM
+ * model pre-quantizes its per-access energies up to it;
+ * CacheParams::validate() rejects anything larger.
+ */
+inline constexpr unsigned kMaxLineBytes = 256;
+
 /** Cache (and DirtyQueue) replacement policy. */
 enum class ReplPolicy
 {
@@ -68,7 +76,10 @@ struct CacheParams
     }
     unsigned numSets() const { return numLines() / assoc; }
 
-    /** Validate geometry (power-of-two sets/lines); fatal() on error. */
+    /**
+     * Validate geometry (power-of-two sets, power-of-two lines of at
+     * most kMaxLineBytes); fatal() on error.
+     */
     void validate() const;
 };
 

@@ -45,6 +45,19 @@ NvsramPracticalCache::NvsramPracticalCache(
     : DataCache("nvsram_practical"), sram_params_(halfWays(params)),
       nv_params_(nvWayParams(nv_tech, sram_params_)), prac_(prac),
       sram_(sram_params_), nv_(nv_params_), nvm_(nvm), meter_(meter),
+      sram_read_aj_(
+          energy::quantizeCharge(sram_params_.access_energy_read)),
+      nv_read_aj_(energy::quantizeCharge(nv_params_.access_energy_read)),
+      sram_write_aj_(
+          energy::quantizeCharge(sram_params_.access_energy_write)),
+      nv_write_aj_(
+          energy::quantizeCharge(nv_params_.access_energy_write)),
+      sram_fill_aj_(
+          energy::quantizeCharge(sram_params_.line_fill_energy)),
+      sram_fill_write_aj_(
+          energy::quantizeCharge(sram_params_.line_fill_energy +
+                                 sram_params_.access_energy_write)),
+      migrate_aj_(energy::quantizeCharge(prac_.migrate_line_energy)),
       stat_migrations_(stat_group_.addScalar(
           "migrations", "SRAM->NV way line migrations")),
       stat_nv_hits_(
@@ -121,10 +134,10 @@ NvsramPracticalCache::migrate(LineRef sram_ref, Cycle now,
     nv_.install(nv_ref, laddr, sram_.data(sram_ref));
     nv_.setDirty(nv_ref, true);  // still stale w.r.t. main NVM
     if (meter_)
-        meter_->add(charge_checkpoint
-                        ? energy::EnergyCategory::Checkpoint
-                        : energy::EnergyCategory::CacheWrite,
-                    prac_.migrate_line_energy);
+        meter_->addAj(charge_checkpoint
+                          ? energy::EnergyCategory::Checkpoint
+                          : energy::EnergyCategory::CacheWrite,
+                      migrate_aj_);
     ++stat_migrations_;
     sram_.setDirty(sram_ref, false);
     sram_.invalidate(sram_ref);
@@ -161,8 +174,8 @@ NvsramPracticalCache::access(MemOp op, Addr addr, unsigned bytes,
             ++stats_.load_hits;
             sram_.touch(*sram_ref);
             if (meter_)
-                meter_->add(energy::EnergyCategory::CacheRead,
-                            sram_params_.access_energy_read);
+                meter_->addAj(energy::EnergyCategory::CacheRead,
+                              sram_read_aj_);
             copy_out(sram_, *sram_ref);
             return { now + sram_params_.hit_latency, true };
         }
@@ -172,8 +185,8 @@ NvsramPracticalCache::access(MemOp op, Addr addr, unsigned bytes,
             ++stat_nv_hits_;
             nv_.touch(*nv_ref);
             if (meter_)
-                meter_->add(energy::EnergyCategory::CacheRead,
-                            nv_params_.access_energy_read);
+                meter_->addAj(energy::EnergyCategory::CacheRead,
+                              nv_read_aj_);
             copy_out(nv_, *nv_ref);
             return { now + nv_params_.hit_latency, true };
         }
@@ -189,14 +202,14 @@ NvsramPracticalCache::access(MemOp op, Addr addr, unsigned bytes,
                 sram_.invalidate(victim);
             }
         }
-        std::uint8_t buf[256];
+        std::uint8_t buf[kMaxLineBytes];
         const auto res =
             nvm_.read(sram_.lineAddrOf(addr), sram_.lineBytes(), t, buf);
         sram_.install(victim, sram_.lineAddrOf(addr), buf);
         ++stats_.fills;
         if (meter_)
-            meter_->add(energy::EnergyCategory::CacheWrite,
-                        sram_params_.line_fill_energy);
+            meter_->addAj(energy::EnergyCategory::CacheWrite,
+                          sram_fill_aj_);
         copy_out(sram_, victim);
         return { res.ready + sram_params_.hit_latency, false };
     }
@@ -208,8 +221,8 @@ NvsramPracticalCache::access(MemOp op, Addr addr, unsigned bytes,
         write_in(sram_, *sram_ref);
         sram_.setDirty(*sram_ref, true);
         if (meter_)
-            meter_->add(energy::EnergyCategory::CacheWrite,
-                        sram_params_.access_energy_write);
+            meter_->addAj(energy::EnergyCategory::CacheWrite,
+                          sram_write_aj_);
         maintain(addr, now);
         return { now + sram_params_.write_hit_latency, true };
     }
@@ -220,8 +233,8 @@ NvsramPracticalCache::access(MemOp op, Addr addr, unsigned bytes,
         write_in(nv_, *nv_ref);
         nv_.setDirty(*nv_ref, true);
         if (meter_)
-            meter_->add(energy::EnergyCategory::CacheWrite,
-                        nv_params_.access_energy_write);
+            meter_->addAj(energy::EnergyCategory::CacheWrite,
+                          nv_write_aj_);
         maintain(addr, now);
         return { now + nv_params_.write_hit_latency, true };
     }
@@ -237,7 +250,7 @@ NvsramPracticalCache::access(MemOp op, Addr addr, unsigned bytes,
             sram_.invalidate(victim);
         }
     }
-    std::uint8_t buf[256];
+    std::uint8_t buf[kMaxLineBytes];
     const auto res =
         nvm_.read(sram_.lineAddrOf(addr), sram_.lineBytes(), t, buf);
     sram_.install(victim, sram_.lineAddrOf(addr), buf);
@@ -245,9 +258,8 @@ NvsramPracticalCache::access(MemOp op, Addr addr, unsigned bytes,
     write_in(sram_, victim);
     sram_.setDirty(victim, true);
     if (meter_)
-        meter_->add(energy::EnergyCategory::CacheWrite,
-                    sram_params_.line_fill_energy +
-                        sram_params_.access_energy_write);
+        meter_->addAj(energy::EnergyCategory::CacheWrite,
+                      sram_fill_write_aj_);
     maintain(addr, now);
     return { res.ready + sram_params_.write_hit_latency, false };
 }

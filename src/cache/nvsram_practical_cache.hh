@@ -107,6 +107,16 @@ class NvsramPracticalCache : public DataCache
     mem::NvmMemory &nvm_;
     energy::EnergyMeter *meter_;
 
+    // Per-access energies, quantized once from the parameters above
+    // (derived state: never serialized).
+    energy::Attojoules sram_read_aj_;
+    energy::Attojoules nv_read_aj_;
+    energy::Attojoules sram_write_aj_;
+    energy::Attojoules nv_write_aj_;
+    energy::Attojoules sram_fill_aj_;
+    energy::Attojoules sram_fill_write_aj_;  //!< Store-miss fill+write.
+    energy::Attojoules migrate_aj_;
+
     /** Outstanding background NV write-backs (ACK cycles). */
     std::deque<std::pair<Addr, Cycle>> inflight_;
 

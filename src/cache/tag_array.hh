@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cache/cache_params.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace wlcache {
@@ -48,6 +49,12 @@ struct LineRef
  * scan reads only the sequence vector the policy cares about, instead
  * of striding over 26-byte Line records and dragging the unused
  * fields through the host cache.
+ *
+ * The per-access members (lookup, touch, data, and the index math
+ * under them) are defined inline here: they run once or twice per
+ * simulated event. The set index is a shift and a mask, never a
+ * divide — CacheParams::validate() guarantees power-of-two lines and
+ * sets.
  */
 class TagArray
 {
@@ -72,10 +79,33 @@ class TagArray
     // --- Lookup / replacement ----------------------------------------------
 
     /** Find the line holding @p addr; no replacement-state update. */
-    std::optional<LineRef> lookup(Addr addr) const;
+    std::optional<LineRef>
+    lookup(Addr addr) const
+    {
+        const Addr laddr = lineAddrOf(addr);
+        const std::uint32_t set = setIndex(addr);
+        const std::size_t base = static_cast<std::size_t>(set) * assoc_;
+        // MRU-way hint: fetch loops re-touch the same line, so this
+        // hits far more often than the scan. The hint is fully
+        // validated, so the result is identical with or without it.
+        const std::uint32_t hint = mru_way_[set];
+        if (hint < assoc_ && valid_[base + hint] &&
+            addrs_[base + hint] == laddr)
+            return LineRef{ set, hint };
+        for (std::uint32_t way = 0; way < assoc_; ++way) {
+            if (valid_[base + way] && addrs_[base + way] == laddr)
+                return LineRef{ set, way };
+        }
+        return std::nullopt;
+    }
 
     /** Record an access for LRU bookkeeping. */
-    void touch(LineRef ref);
+    void
+    touch(LineRef ref)
+    {
+        touch_seq_[index(ref)] = ++seq_;
+        mru_way_[ref.set] = ref.way;
+    }
 
     /**
      * Choose a victim way in the set of @p addr. Prefers an invalid
@@ -101,8 +131,17 @@ class TagArray
     void invalidateAll();
 
     /** Mutable access to the line's data bytes. */
-    std::uint8_t *data(LineRef ref);
-    const std::uint8_t *data(LineRef ref) const;
+    std::uint8_t *
+    data(LineRef ref)
+    {
+        return bytes_.data() + index(ref) * line_bytes_;
+    }
+
+    const std::uint8_t *
+    data(LineRef ref) const
+    {
+        return bytes_.data() + index(ref) * line_bytes_;
+    }
 
     /** Number of currently dirty lines (O(1)). */
     unsigned dirtyCount() const { return dirty_count_; }
@@ -137,12 +176,25 @@ class TagArray
 
   private:
     /** Flat metadata index of a line: set * assoc + way. */
-    std::size_t index(LineRef ref) const;
-    std::uint32_t setIndex(Addr addr) const;
+    std::size_t
+    index(LineRef ref) const
+    {
+        wlc_assert(ref.set < num_sets_ && ref.way < assoc_);
+        return static_cast<std::size_t>(ref.set) * assoc_ + ref.way;
+    }
+
+    /** Set holding @p addr: (addr / line_bytes) mod numSets(). */
+    std::uint32_t
+    setIndex(Addr addr) const
+    {
+        return static_cast<std::uint32_t>((addr >> line_shift_) &
+                                          set_mask_);
+    }
 
     unsigned num_sets_;
     unsigned assoc_;
     unsigned line_bytes_;
+    unsigned line_shift_;  //!< log2(line_bytes_).
     Addr line_mask_;
     std::uint32_t set_mask_;
     ReplPolicy repl_;

@@ -12,17 +12,10 @@ WtBufferedCache::WtBufferedCache(const CacheParams &params,
                                  const WtBufferParams &wb,
                                  mem::NvmMemory &nvm,
                                  energy::EnergyMeter *meter)
-    : BaseTagCache("wt_buffered", params, nvm, meter), wb_(wb)
+    : BaseTagCache("wt_buffered", params, nvm, meter), wb_(wb),
+      cam_search_aj_(energy::quantizeCharge(wb.cam_search_energy))
 {
     wlc_assert(wb_.entries > 0);
-}
-
-void
-WtBufferedCache::chargeCamSearch()
-{
-    if (meter_)
-        meter_->add(energy::EnergyCategory::CacheRead,
-                    wb_.cam_search_energy);
 }
 
 void

@@ -64,11 +64,20 @@ class WtBufferedCache : public BaseTagCache
         Cycle ready;
     };
 
-    void chargeCamSearch();
+    void
+    chargeCamSearch()
+    {
+        if (meter_)
+            meter_->addAj(energy::EnergyCategory::CacheRead,
+                          cam_search_aj_);
+    }
+
     void drainCompleted(Cycle now);
     int findBuffered(Addr word_addr);
 
     WtBufferParams wb_;
+    /** wb_.cam_search_energy, quantized once (not serialized). */
+    energy::Attojoules cam_search_aj_;
     std::deque<Pending> buffer_;
     std::uint64_t coalesced_ = 0;
 };

@@ -20,18 +20,19 @@ WLCache::WLCache(const std::string &name,
                  const cache::CacheParams &params, const WlParams &wl,
                  mem::NvmMemory &nvm, energy::EnergyMeter *meter)
     : BaseTagCache(name, params, nvm, meter), wl_(wl),
-      dq_(wl.dq_size, wl.dq_repl), wl_stats_(stat_group_)
+      dq_(wl.dq_size, wl.dq_repl), wl_stats_(stat_group_),
+      dq_access_aj_(energy::quantizeCharge(wl.dq_access_energy)),
+      dq_lru_search_aj_(
+          wl.dq_repl == cache::ReplPolicy::LRU
+              ? energy::quantizeCharge(wl.dq_lru_search_energy)
+              : 0),
+      dq_cam_search_aj_(
+          wl.eager_evict_cleanup
+              ? energy::quantizeCharge(wl.dq_cam_search_energy)
+              : 0)
 {
     wlc_assert(wl_.maxline >= 1 && wl_.maxline <= wl_.dq_size,
                "maxline must be in [1, |DirtyQueue|]");
-}
-
-void
-WLCache::chargeDqAccess()
-{
-    if (meter_)
-        meter_->add(energy::EnergyCategory::CacheWrite,
-                    wl_.dq_access_energy);
 }
 
 void
@@ -221,8 +222,8 @@ WLCache::access(MemOp op, Addr addr, unsigned bytes, std::uint64_t value,
         // the search cost §6.4 blames for LRU losing to FIFO.
         dq_.touch(laddr);
         if (meter_)
-            meter_->add(energy::EnergyCategory::CacheWrite,
-                        wl_.dq_lru_search_energy);
+            meter_->addAj(energy::EnergyCategory::CacheWrite,
+                          dq_lru_search_aj_);
     }
 
     tags_.touch(*ref);
@@ -342,8 +343,8 @@ WLCache::onDirtyEviction(Addr line_addr)
     }
     // Ablation: CAM-search the queue and release the slot now.
     if (meter_)
-        meter_->add(energy::EnergyCategory::CacheWrite,
-                    wl_.dq_cam_search_energy);
+        meter_->addAj(energy::EnergyCategory::CacheWrite,
+                      dq_cam_search_aj_);
     for (unsigned i = 0; i < dq_.capacity(); ++i) {
         const DqEntry &e = dq_.entry(i);
         if (e.state == DqEntryState::Pending &&

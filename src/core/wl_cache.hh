@@ -169,7 +169,13 @@ class WLCache : public cache::BaseTagCache
     void onDirtyEviction(Addr line_addr) override;
 
   private:
-    void chargeDqAccess();
+    void
+    chargeDqAccess()
+    {
+        if (meter_)
+            meter_->addAj(energy::EnergyCategory::CacheWrite,
+                          dq_access_aj_);
+    }
 
     /**
      * Waterline protocol (§5.2/§5.3): while the dirty count exceeds
@@ -193,6 +199,13 @@ class WLCache : public cache::BaseTagCache
     WlStats wl_stats_;
     TryReserveFn try_reserve_;
     ProbeFn probe_;
+
+    // Per-access DirtyQueue energies, quantized at construction
+    // (derived state: never serialized). The search energies are 0
+    // when their configuration never charges them.
+    energy::Attojoules dq_access_aj_;
+    energy::Attojoules dq_lru_search_aj_;
+    energy::Attojoules dq_cam_search_aj_;
 };
 
 } // namespace core

@@ -97,7 +97,7 @@ WlLogCache::probePersistent(Addr addr, unsigned bytes, void *out) const
     const auto it = best.find(laddr);
     if (it == best.end())
         return false;
-    std::uint8_t buf[256];
+    std::uint8_t buf[cache::kMaxLineBytes];
     journal_.peekPayload(it->second.slot, buf);
     const unsigned off = tags_.lineOffset(addr);
     wlc_assert(off + bytes <= tags_.lineBytes());
@@ -109,7 +109,7 @@ void
 WlLogCache::collectPersistentOverlay(
     std::unordered_map<Addr, std::uint8_t> &overlay) const
 {
-    std::uint8_t buf[256];
+    std::uint8_t buf[cache::kMaxLineBytes];
     for (const auto &[laddr, rec] : persistentWinners()) {
         journal_.peekPayload(rec.slot, buf);
         for (unsigned i = 0; i < tags_.lineBytes(); ++i)

@@ -21,6 +21,11 @@ InOrderCore::InOrderCore(const CoreParams &params,
       stat_cycles_(
           stat_group_.addScalar("busy_cycles", "cycles executing events"))
 {
+    // quantizeCharge() rejects a negative or NaN rate (n = 1 is the
+    // rate itself), so the untabulated tail needs no check either.
+    for (unsigned n = 0; n < kComputeTableInsns; ++n)
+        compute_aj_[n] = energy::quantizeCharge(
+            params_.compute_energy_per_insn * static_cast<double>(n));
 }
 
 Cycle
@@ -39,9 +44,8 @@ InOrderCore::executeEvent(const MemAccess &ev, Cycle now,
     }
 
     if (meter_)
-        meter_->add(energy::EnergyCategory::Compute,
-                    params_.compute_energy_per_insn *
-                        static_cast<double>(insns));
+        meter_->addAj(energy::EnergyCategory::Compute,
+                      computeEnergyAj(insns));
     instret_ += insns;
     stat_insns_ += static_cast<double>(insns);
     ++stat_mem_insns_;

@@ -14,6 +14,7 @@
 #ifndef WLCACHE_CPU_INORDER_CORE_HH
 #define WLCACHE_CPU_INORDER_CORE_HH
 
+#include <array>
 #include <cstdint>
 
 #include "cache/cache_iface.hh"
@@ -78,6 +79,26 @@ class InOrderCore
     /** Attach a telemetry timeline (null detaches); observational. */
     void setTimeline(telemetry::TimelineBuffer *tl) { tl_ = tl; }
 
+    /**
+     * Instruction counts (gap + 1) whose compute energy is looked up
+     * in a table built at construction; longer events quantize the
+     * same expression per call.
+     */
+    static constexpr unsigned kComputeTableInsns = 256;
+
+    /**
+     * Compute energy of @p insns retired instructions: exactly
+     * toAttojoules(compute_energy_per_insn * insns).
+     */
+    energy::Attojoules
+    computeEnergyAj(unsigned insns) const
+    {
+        if (insns < kComputeTableInsns)
+            return compute_aj_[insns];
+        return energy::toAttojoules(params_.compute_energy_per_insn *
+                                    static_cast<double>(insns));
+    }
+
     /** Instructions between CoreProgress timeline markers. */
     static constexpr std::uint64_t kProgressStride = 1u << 16;
 
@@ -97,6 +118,12 @@ class InOrderCore
     std::uint64_t next_progress_ = kProgressStride;
     RegisterFile regs_;
     std::uint64_t instret_ = 0;
+
+    /**
+     * compute_aj_[n] = toAttojoules(compute_energy_per_insn * n), for
+     * n < kComputeTableInsns. Derived state: never serialized.
+     */
+    std::array<energy::Attojoules, kComputeTableInsns> compute_aj_;
 
     stats::StatGroup stat_group_;
     stats::Scalar &stat_insns_;

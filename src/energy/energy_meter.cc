@@ -23,21 +23,6 @@ energyCategoryName(EnergyCategory cat)
     panic("unknown EnergyCategory %d", static_cast<int>(cat));
 }
 
-void
-EnergyMeter::add(EnergyCategory cat, double joules)
-{
-    wlc_assert(cat != EnergyCategory::NumCategories);
-    wlc_assert(joules >= 0.0);
-    addAj(cat, toAttojoules(joules));
-}
-
-void
-EnergyMeter::addAj(EnergyCategory cat, Attojoules aj)
-{
-    wlc_assert(cat != EnergyCategory::NumCategories);
-    aj_[static_cast<std::size_t>(cat)] += aj;
-}
-
 double
 EnergyMeter::get(EnergyCategory cat) const
 {

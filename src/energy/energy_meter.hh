@@ -18,6 +18,7 @@
 #include <cstddef>
 
 #include "energy/attojoule.hh"
+#include "sim/logging.hh"
 
 namespace wlcache {
 
@@ -43,6 +44,20 @@ enum class EnergyCategory : std::size_t
 /** Human-readable category name. */
 const char *energyCategoryName(EnergyCategory cat);
 
+/**
+ * Quantize a per-access energy once, when the component charging it
+ * is built. The `joules >= 0` check EnergyMeter::add() makes on every
+ * call (it also rejects NaN) moves here, so a bad configuration still
+ * fails loudly, at construction instead of at the first access.
+ */
+inline Attojoules
+quantizeCharge(double joules)
+{
+    wlc_assert(joules >= 0.0, "per-access energy %g J is negative or NaN",
+               joules);
+    return toAttojoules(joules);
+}
+
 /** Accumulates attojoules per category (joule API quantizes). */
 class EnergyMeter
 {
@@ -50,11 +65,25 @@ class EnergyMeter
     static constexpr std::size_t kNumCategories =
         static_cast<std::size_t>(EnergyCategory::NumCategories);
 
-    /** Add @p joules (quantized to whole aJ) to category @p cat. */
-    void add(EnergyCategory cat, double joules);
+    /**
+     * Add @p joules (quantized to whole aJ) to category @p cat. For
+     * one-off charges only: a per-access charge is quantized once,
+     * with quantizeCharge(), and added with addAj().
+     */
+    void
+    add(EnergyCategory cat, double joules)
+    {
+        wlc_assert(joules >= 0.0);
+        addAj(cat, toAttojoules(joules));
+    }
 
     /** Add an exact attojoule amount to category @p cat. */
-    void addAj(EnergyCategory cat, Attojoules aj);
+    void
+    addAj(EnergyCategory cat, Attojoules aj)
+    {
+        wlc_assert(cat != EnergyCategory::NumCategories);
+        aj_[static_cast<std::size_t>(cat)] += aj;
+    }
 
     /** Consumption of a single category, joules. */
     double get(EnergyCategory cat) const;

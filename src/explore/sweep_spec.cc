@@ -7,6 +7,7 @@
 #include "mem/device/tech_profile.hh"
 #include "sim/logging.hh"
 #include "util/json.hh"
+#include "util/stat_math.hh"
 #include "util/strings.hh"
 #include "workloads/workloads.hh"
 
@@ -207,12 +208,21 @@ paramDefs()
               c.dcache.assoc = static_cast<unsigned>(v.num);
           },
           nullptr },
-        { "dcache.line_bytes", "L1 D-cache line size in bytes",
+        { "dcache.line_bytes",
+          "L1 D-cache line size in bytes (power of two, <= 256)",
           PV::Kind::Number, true, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.dcache.line_bytes = static_cast<unsigned>(v.num);
           },
-          nullptr },
+          [](const PV &v, std::string &why) {
+              if (v.num <= cache::kMaxLineBytes &&
+                  util::isPowerOfTwo(static_cast<std::uint64_t>(v.num)))
+                  return true;
+              why = "parameter 'dcache.line_bytes' wants a power of "
+                    "two <= " + std::to_string(cache::kMaxLineBytes) +
+                    ", got " + v.text;
+              return false;
+          } },
         { "dcache.repl", "L1 D-cache replacement policy: lru|fifo",
           PV::Kind::String, false, 0.0, nullptr,
           [](Cfg &c, const PV &v) {

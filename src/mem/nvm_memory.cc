@@ -85,6 +85,57 @@ NvmMemory::NvmMemory(const NvmParams &params, energy::EnergyMeter *meter)
         hybrid_ = std::make_unique<HybridRegion>(
             params_.hybrid_lines, params_.hybrid_promote_writes);
     }
+
+    // Quantize every per-access energy once. The checks stand in for
+    // the per-call `joules >= 0` check of EnergyMeter::add().
+    energy::quantizeCharge(params_.activate_energy);
+    energy::quantizeCharge(params_.read_energy_per_byte);
+    energy::quantizeCharge(params_.write_energy_per_byte);
+    const unsigned charges = hybrid_ ? 4 : 2;
+    charge_aj_.resize(2 * charges * kChargeRow);
+    for (unsigned i = 0; i < charges; ++i) {
+        const auto c = static_cast<Charge>(i);
+        for (const bool hit : { false, true }) {
+            for (unsigned b = 0; b < kChargeRow; ++b) {
+                charge_aj_[chargeSlot(c, hit, b)] =
+                    energy::toAttojoules(accessEnergy(c, hit, b));
+            }
+        }
+    }
+    if (hybrid_) {
+        energy::quantizeCharge(params_.hybrid_read_energy_per_byte);
+        energy::quantizeCharge(params_.hybrid_write_energy_per_byte);
+        hybrid_evict_aj_ = energy::toAttojoules(
+            params_.writeEnergy(params_.wear_line_bytes));
+        hybrid_promote_aj_ = energy::toAttojoules(
+            params_.readEnergy(params_.wear_line_bytes));
+    }
+}
+
+double
+NvmMemory::accessEnergy(Charge c, bool row_hit, unsigned bytes) const
+{
+    // The legacy model charges activation on every access; the
+    // banked model only on a row miss.
+    const bool legacy = params_.model == NvmModel::SingleCursor;
+    switch (c) {
+      case Charge::Read:
+        return legacy ? params_.readEnergy(bytes)
+                      : (row_hit ? 0.0 : params_.activate_energy) +
+                            params_.read_energy_per_byte * bytes;
+      case Charge::Write: {
+        const double pulses = (1.0 + params_.write_verify_retries) *
+            params_.write_energy_per_byte * bytes;
+        return legacy ? params_.activate_energy + pulses
+                      : (row_hit ? 0.0 : params_.activate_energy) +
+                            pulses;
+      }
+      case Charge::FastRead:
+        return params_.hybrid_read_energy_per_byte * bytes;
+      case Charge::FastWrite:
+        return params_.hybrid_write_energy_per_byte * bytes;
+    }
+    panic("unknown NVM charge %u", static_cast<unsigned>(c));
 }
 
 void
@@ -166,8 +217,8 @@ NvmMemory::read(Addr addr, unsigned bytes, Cycle now, void *out)
         ++stat_fast_reads_;
         stat_bytes_read_ += bytes;
         if (meter_)
-            meter_->add(energy::EnergyCategory::MemRead,
-                        params_.hybrid_read_energy_per_byte * bytes);
+            meter_->addAj(energy::EnergyCategory::MemRead,
+                          accessAj(Charge::FastRead, false, bytes));
         WLC_TIMELINE(tl_, NvmRead, now, "nvm", addr, bytes);
         return { start, ready };
     }
@@ -179,16 +230,9 @@ NvmMemory::read(Addr addr, unsigned bytes, Cycle now, void *out)
         std::memcpy(out, data_.data() + addr, bytes);
     ++stat_reads_;
     stat_bytes_read_ += bytes;
-    if (meter_) {
-        // The legacy model charges activation on every access; the
-        // banked model only on a row miss.
-        const double e =
-            params_.model == NvmModel::SingleCursor
-                ? params_.readEnergy(bytes)
-                : (t.row_hit ? 0.0 : params_.activate_energy) +
-                      params_.read_energy_per_byte * bytes;
-        meter_->add(energy::EnergyCategory::MemRead, e);
-    }
+    if (meter_)
+        meter_->addAj(energy::EnergyCategory::MemRead,
+                      accessAj(Charge::Read, t.row_hit, bytes));
     WLC_TIMELINE(tl_, NvmRead, now, "nvm", addr, bytes);
     return { t.start, t.ready };
 }
@@ -208,9 +252,8 @@ NvmMemory::write(Addr addr, unsigned bytes, const void *data, Cycle now)
             // energy and wear, migrated in the background.
             ++stat_evictions_;
             if (meter_)
-                meter_->add(
-                    energy::EnergyCategory::MemWrite,
-                    params_.writeEnergy(params_.wear_line_bytes));
+                meter_->addAj(energy::EnergyCategory::MemWrite,
+                              hybrid_evict_aj_);
             if (wear_)
                 wear_->recordLine(o.evicted_line);
         }
@@ -218,9 +261,8 @@ NvmMemory::write(Addr addr, unsigned bytes, const void *data, Cycle now)
             // Line fill: read the line out of the main array once.
             ++stat_promotions_;
             if (meter_)
-                meter_->add(
-                    energy::EnergyCategory::MemRead,
-                    params_.readEnergy(params_.wear_line_bytes));
+                meter_->addAj(energy::EnergyCategory::MemRead,
+                              hybrid_promote_aj_);
         }
         if (o.fast) {
             const Cycle start = std::max(now, fast_busy_until_);
@@ -232,9 +274,8 @@ NvmMemory::write(Addr addr, unsigned bytes, const void *data, Cycle now)
             ++stat_fast_writes_;
             stat_bytes_written_ += bytes;
             if (meter_)
-                meter_->add(
-                    energy::EnergyCategory::MemWrite,
-                    params_.hybrid_write_energy_per_byte * bytes);
+                meter_->addAj(energy::EnergyCategory::MemWrite,
+                              accessAj(Charge::FastWrite, false, bytes));
             stat_write_latency_.sample(
                 static_cast<double>(ready - now));
             WLC_TIMELINE(tl_, NvmWrite, now, "nvm", addr, bytes);
@@ -252,17 +293,9 @@ NvmMemory::write(Addr addr, unsigned bytes, const void *data, Cycle now)
         rotator_->onWrite();
     ++stat_writes_;
     stat_bytes_written_ += bytes;
-    if (meter_) {
-        const double pulses =
-            (1.0 + params_.write_verify_retries) *
-            params_.write_energy_per_byte * bytes;
-        const double e =
-            params_.model == NvmModel::SingleCursor
-                ? params_.activate_energy + pulses
-                : (t.row_hit ? 0.0 : params_.activate_energy) +
-                      pulses;
-        meter_->add(energy::EnergyCategory::MemWrite, e);
-    }
+    if (meter_)
+        meter_->addAj(energy::EnergyCategory::MemWrite,
+                      accessAj(Charge::Write, t.row_hit, bytes));
     stat_write_latency_.sample(static_cast<double>(t.ready - now));
     WLC_TIMELINE(tl_, NvmWrite, now, "nvm", addr, bytes);
     return { t.start, t.ready };

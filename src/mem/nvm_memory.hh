@@ -26,6 +26,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "cache/cache_params.hh"
 #include "energy/energy_meter.hh"
 #include "mem/device/hybrid_region.hh"
 #include "mem/device/timing_model.hh"
@@ -229,6 +230,42 @@ class NvmMemory
 
     void checkRange(Addr addr, unsigned bytes) const;
 
+    /** Which energy expression an access pays (see accessEnergy()). */
+    enum class Charge : unsigned
+    {
+        Read,       //!< Main-array read.
+        Write,      //!< Main-array write, write-verify retries included.
+        FastRead,   //!< Hybrid fast-region read.
+        FastWrite,  //!< Hybrid fast-region write.
+    };
+
+    /** Byte counts the charge table covers: 0..kMaxLineBytes. */
+    static constexpr std::size_t kChargeRow = cache::kMaxLineBytes + 1;
+
+    /** Index of (@p c, @p row_hit, @p bytes) in charge_aj_. */
+    static std::size_t
+    chargeSlot(Charge c, bool row_hit, unsigned bytes)
+    {
+        return (2 * static_cast<std::size_t>(c) + (row_hit ? 1 : 0)) *
+            kChargeRow + bytes;
+    }
+
+    /** Joules of one access of @p bytes under the configured model. */
+    double accessEnergy(Charge c, bool row_hit, unsigned bytes) const;
+
+    /**
+     * accessEnergy() quantized to attojoules. Up to kMaxLineBytes it
+     * is a lookup in a table built at construction; a larger access
+     * quantizes the same expression per call.
+     */
+    energy::Attojoules
+    accessAj(Charge c, bool row_hit, unsigned bytes) const
+    {
+        if (bytes < kChargeRow)
+            return charge_aj_[chargeSlot(c, row_hit, bytes)];
+        return energy::toAttojoules(accessEnergy(c, row_hit, bytes));
+    }
+
     /** Timing/wear identity of @p addr (rotation remap applied). */
     Addr timingAddr(Addr addr) const;
 
@@ -253,6 +290,16 @@ class NvmMemory
     /** Fast-region port cursor (separate from the main channel). */
     Cycle fast_busy_until_ = 0;
     std::unordered_set<std::uint64_t> touched_pages_;
+
+    /**
+     * accessEnergy() in attojoules, one kChargeRow-long row per
+     * (Charge, row hit) pair; the fast-region rows exist only with a
+     * hybrid region. Derived from params_: never serialized.
+     */
+    std::vector<energy::Attojoules> charge_aj_;
+    /** Hybrid line write-back and promotion fill energies. */
+    energy::Attojoules hybrid_evict_aj_ = 0;
+    energy::Attojoules hybrid_promote_aj_ = 0;
 
     stats::StatGroup stat_group_;
     stats::Scalar &stat_reads_;

@@ -102,9 +102,10 @@ TEST(Capacitor, RailAccountingProperty)
             EXPECT_LE(c.voltage(), c.vmax() + 1e-12);
             // A genuinely saturated deposit lands exactly on the
             // rail energy (not one rounded add above or below it).
-            if (amt > room * 1.001 + 1e-15)
+            if (amt > room * 1.001 + 1e-15) {
                 EXPECT_DOUBLE_EQ(c.storedEnergy(),
                                  c.energyBetween(0.0, c.vmax()));
+            }
 
             const double before_draw = c.storedEnergy();
             const double drawn = c.drawEnergy(amt);
@@ -113,8 +114,9 @@ TEST(Capacitor, RailAccountingProperty)
                 << "draw v0=" << v0 << " amt=" << amt;
             EXPECT_LE(drawn, amt + 1e-18);
             EXPECT_GE(c.storedEnergy(), 0.0);
-            if (amt > before_draw * 1.001 + 1e-15)
+            if (amt > before_draw * 1.001 + 1e-15) {
                 EXPECT_DOUBLE_EQ(c.storedEnergy(), 0.0);
+            }
         }
     }
 }

@@ -155,6 +155,23 @@ TEST(SweepSpec, RejectsUnknownDesignAndWorkload)
         "$.base.workload", "unknown workload 'doom'");
 }
 
+TEST(SweepSpec, RejectsUnsupportedDcacheLineSize)
+{
+    // A line the cache models cannot hold is rejected at load, with
+    // the parameter named, instead of failing every job that uses it.
+    expectDiagnostic(
+        parseErr(R"({"axes": [{"param": "dcache.line_bytes",
+                               "values": [64, 512]}]})"),
+        "$.axes[0].values[1]",
+        "parameter 'dcache.line_bytes' wants a power of two <= 256, "
+        "got 512");
+    expectDiagnostic(
+        parseErr(R"({"base": {"dcache.line_bytes": 48}})"),
+        "$.base.dcache.line_bytes", "got 48");
+    parseOk(R"({"axes": [{"param": "dcache.line_bytes",
+                          "values": [4, 64, 256]}]})");
+}
+
 TEST(SweepSpec, RejectsBadAxes)
 {
     expectDiagnostic(
