@@ -28,22 +28,32 @@ replPolicyFromName(const std::string &name, ReplPolicy &out)
     return true;
 }
 
+std::string
+CacheParams::geometryError() const
+{
+    if (line_bytes == 0 || !util::isPowerOfTwo(line_bytes))
+        return "cache line size must be a power of two (got " +
+               std::to_string(line_bytes) + ")";
+    if (line_bytes > kMaxLineBytes)
+        return "cache line size must be at most " +
+               std::to_string(kMaxLineBytes) + " bytes (got " +
+               std::to_string(line_bytes) + ")";
+    if (size_bytes == 0 || size_bytes % line_bytes != 0)
+        return "cache size must be a multiple of the line size";
+    if (assoc == 0 || numLines() % assoc != 0)
+        return "cache associativity must divide the line count";
+    if (!util::isPowerOfTwo(numSets()))
+        return "number of cache sets must be a power of two (got " +
+               std::to_string(numSets()) + ")";
+    return {};
+}
+
 void
 CacheParams::validate() const
 {
-    if (line_bytes == 0 || !util::isPowerOfTwo(line_bytes))
-        fatal("cache line size must be a power of two (got %u)",
-              line_bytes);
-    if (line_bytes > kMaxLineBytes)
-        fatal("cache line size must be at most %u bytes (got %u)",
-              kMaxLineBytes, line_bytes);
-    if (size_bytes == 0 || size_bytes % line_bytes != 0)
-        fatal("cache size must be a multiple of the line size");
-    if (assoc == 0 || numLines() % assoc != 0)
-        fatal("cache associativity must divide the line count");
-    if (!util::isPowerOfTwo(numSets()))
-        fatal("number of cache sets must be a power of two (got %u)",
-              numSets());
+    const std::string why = geometryError();
+    if (!why.empty())
+        fatal("%s", why.c_str());
 }
 
 CacheParams

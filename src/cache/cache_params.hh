@@ -77,9 +77,13 @@ struct CacheParams
     unsigned numSets() const { return numLines() / assoc; }
 
     /**
-     * Validate geometry (power-of-two sets, power-of-two lines of at
-     * most kMaxLineBytes); fatal() on error.
+     * Check geometry (power-of-two sets, power-of-two lines of at
+     * most kMaxLineBytes) without failing.
+     * @return why the geometry is invalid; empty when it is valid.
      */
+    std::string geometryError() const;
+
+    /** geometryError(), but fatal() with the reason on error. */
     void validate() const;
 };
 

@@ -24,19 +24,25 @@ InstrCache::InstrCache(const CacheParams &params, ICacheKind kind,
 {
     if (kind_ != ICacheKind::None) {
         tags_ = std::make_unique<TagArray>(params_);
-        const unsigned max_insns = params_.line_bytes / 4;
-        read_energy_aj_.reserve(max_insns + 1);
+        // A line narrower than one instruction still fetches
+        // one-instruction chunks (see forEachChunk()).
+        const unsigned max_insns = std::max(1u, params_.line_bytes / 4);
+        const energy::Attojoules lru_aj =
+            params_.repl == ReplPolicy::LRU
+                ? energy::toAttojoules(params_.lru_update_energy)
+                : 0;
+        hit_energy_aj_.reserve(max_insns + 1);
         for (unsigned n = 0; n <= max_insns; ++n)
-            read_energy_aj_.push_back(energy::toAttojoules(
-                params_.access_energy_read * static_cast<double>(n)));
-        lru_update_aj_ =
-            energy::toAttojoules(params_.lru_update_energy);
+            hit_energy_aj_.push_back(
+                energy::toAttojoules(params_.access_energy_read *
+                                     static_cast<double>(n)) +
+                lru_aj);
         line_fill_aj_ = energy::toAttojoules(params_.line_fill_energy);
     }
 }
 
 Cycle
-InstrCache::fetchLineChunk(Addr line_addr, unsigned insns, Cycle now)
+InstrCache::fetchLineMiss(Addr line_addr, unsigned insns, Cycle now)
 {
     stat_fetches_ += insns;
 
@@ -47,56 +53,40 @@ InstrCache::fetchLineChunk(Addr line_addr, unsigned insns, Cycle now)
         return res.ready + insns;
     }
 
-    auto ref = tags_->lookup(line_addr);
-    Cycle t = now;
-    if (ref) {
-        ++stat_hits_;
-        tags_->touch(*ref);
-    } else {
-        ++stat_misses_;
-        LineRef victim = tags_->victim(line_addr);
-        if (tags_->valid(victim))
-            tags_->invalidate(victim);
-        const auto res = nvm_.read(line_addr, params_.line_bytes,
-                                   now + params_.miss_lookup_latency,
-                                   nullptr);
-        tags_->install(victim, line_addr, nullptr);
-        if (meter_)
-            meter_->addAj(energy::EnergyCategory::CacheWrite,
-                          line_fill_aj_);
-        t = res.ready;
-    }
+    ++stat_misses_;
+    LineRef victim = tags_->victim(line_addr);
+    if (tags_->valid(victim))
+        tags_->invalidate(victim);
+    const auto res = nvm_.read(line_addr, params_.line_bytes,
+                               now + params_.miss_lookup_latency,
+                               nullptr);
+    tags_->install(victim, line_addr, nullptr);
     if (meter_) {
+        meter_->addAj(energy::EnergyCategory::CacheWrite, line_fill_aj_);
         meter_->addAj(energy::EnergyCategory::CacheRead,
-                      read_energy_aj_[insns]);
-        if (params_.repl == ReplPolicy::LRU)
-            meter_->addAj(energy::EnergyCategory::CacheRead,
-                          lru_update_aj_);
+                      hit_energy_aj_[insns]);
     }
-    // Issue rate: hit_latency cycles per instruction (pipelined SRAM
-    // fetch sustains 1/cycle; NV arrays sustain one every 2 cycles).
-    return t + static_cast<Cycle>(insns) * params_.hit_latency;
+    return res.ready + static_cast<Cycle>(insns) * params_.hit_latency;
 }
 
 Cycle
-InstrCache::fetchRun(Addr pc, unsigned count, Cycle now)
+InstrCache::fetchResidentRepeated(Addr pc, unsigned count,
+                                  std::uint64_t reps, Cycle now)
 {
-    wlc_assert(count > 0);
-    Cycle t = now;
-    Addr addr = pc;
-    unsigned left = count;
-    const unsigned line_bytes =
-        kind_ == ICacheKind::None ? 64u : params_.line_bytes;
-    while (left > 0) {
-        const Addr line_addr = addr & ~static_cast<Addr>(line_bytes - 1);
-        const unsigned off = static_cast<unsigned>(addr - line_addr);
-        const unsigned fit = (line_bytes - off) / 4;
-        const unsigned n = std::min(left, fit == 0 ? 1u : fit);
-        t = fetchLineChunk(line_addr, n, t);
-        addr += static_cast<Addr>(n) * 4;
-        left -= n;
-    }
-    return t;
+    wlc_assert(count > 0 && runResident(pc, count));
+    std::uint64_t chunks = 0;
+    energy::Attojoules aj = 0;
+    forEachChunk(pc, count, [&](Addr, unsigned n) {
+        ++chunks;
+        aj += hit_energy_aj_[n];
+        return true;
+    });
+    stat_fetches_ += reps * count;
+    stat_hits_ += reps * chunks;
+    tags_->skipTouches(reps * chunks);
+    if (meter_)
+        meter_->addAj(energy::EnergyCategory::CacheRead, reps * aj);
+    return now + reps * count * params_.hit_latency;
 }
 
 void

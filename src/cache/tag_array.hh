@@ -108,6 +108,14 @@ class TagArray
     }
 
     /**
+     * Advance the recency clock as @p n touches would, without
+     * stamping any line. Exact for a closed-form replay whose final
+     * round of touches is performed for real: those touches write the
+     * same stamps the skipped ones would have left behind.
+     */
+    void skipTouches(std::uint64_t n) { seq_ += n; }
+
+    /**
      * Choose a victim way in the set of @p addr. Prefers an invalid
      * way; otherwise applies the configured replacement policy.
      */

@@ -13,7 +13,13 @@ ICacheStream::ICacheStream(const ICacheStreamParams &params)
 {
     wlc_assert(params_.body_min_insns >= 1);
     wlc_assert(params_.body_max_insns >= params_.body_min_insns);
-    wlc_assert(params_.code_bytes >= 4 * params_.body_max_insns);
+    // A far jump draws its start from code_bytes/4 - body_max_insns
+    // slots, so the code must hold more whole instructions than the
+    // longest body.
+    wlc_assert(params_.code_bytes / 4 > params_.body_max_insns,
+               "code_bytes (%u) must hold more than body_max_insns (%u) "
+               "instructions",
+               params_.code_bytes, params_.body_max_insns);
     newRegion();
 }
 
@@ -39,21 +45,6 @@ ICacheStream::newRegion()
     const double iters = rng_.nextExponential(params_.mean_iterations);
     iters_left_ = std::max(1u, static_cast<unsigned>(iters));
     pos_ = 0;
-}
-
-FetchRun
-ICacheStream::take(unsigned max_insns)
-{
-    wlc_assert(max_insns >= 1);
-    const unsigned n = std::min(max_insns, body_len_ - pos_);
-    const FetchRun run{ body_start_ + 4 * static_cast<Addr>(pos_), n };
-    pos_ += n;
-    if (pos_ >= body_len_) {
-        pos_ = 0;
-        if (--iters_left_ == 0)
-            newRegion();
-    }
-    return run;
 }
 
 void

@@ -15,8 +15,10 @@
 #ifndef WLCACHE_CPU_ICACHE_STREAM_HH
 #define WLCACHE_CPU_ICACHE_STREAM_HH
 
+#include <algorithm>
 #include <cstdint>
 
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 
@@ -56,7 +58,49 @@ class ICacheStream
      * Produce the next run of at most @p max_insns sequential
      * fetches. Always returns at least one instruction.
      */
-    FetchRun take(unsigned max_insns);
+    FetchRun
+    take(unsigned max_insns)
+    {
+        wlc_assert(max_insns >= 1);
+        const unsigned n = std::min(max_insns, body_len_ - pos_);
+        const FetchRun run{ body_start_ + 4 * static_cast<Addr>(pos_), n };
+        pos_ += n;
+        if (pos_ >= body_len_) {
+            pos_ = 0;
+            if (--iters_left_ == 0)
+                newRegion();
+        }
+        return run;
+    }
+
+    /**
+     * Whole loop iterations the next @p left fetches would run: 0
+     * unless the stream sits at the start of an iteration and @p left
+     * holds at least two bodies; otherwise min(iterations left in the
+     * region, left / body length).
+     */
+    unsigned
+    wholeIterations(unsigned left) const
+    {
+        if (pos_ != 0 || left / 2 < body_len_)
+            return 0;
+        return std::min(iters_left_, left / body_len_);
+    }
+
+    /** The current loop body as one run: one whole iteration. */
+    FetchRun body() const { return FetchRun{ body_start_, body_len_ }; }
+
+    /**
+     * Advance past @p n whole iterations without producing them.
+     * Draws nothing from the RNG: @p n must leave at least one
+     * iteration in the region, so the region never ends here.
+     */
+    void
+    skipIterations(unsigned n)
+    {
+        wlc_assert(pos_ == 0 && n < iters_left_);
+        iters_left_ -= n;
+    }
 
     const ICacheStreamParams &params() const { return params_; }
 

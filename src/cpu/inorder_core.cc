@@ -1,5 +1,6 @@
 #include "cpu/inorder_core.hh"
 
+#include "cpu/fetch_walk.hh"
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
 #include "telemetry/timeline.hh"
@@ -33,15 +34,9 @@ InOrderCore::executeEvent(const MemAccess &ev, Cycle now,
                           std::uint64_t *load_out)
 {
     const unsigned insns = ev.computeGap + 1;
-    Cycle t = now;
 
     // Fetch the gap instructions plus the memory instruction itself.
-    unsigned left = insns;
-    while (left > 0) {
-        const FetchRun run = stream_.take(left);
-        t = icache_.fetchRun(run.pc, run.count, t);
-        left -= run.count;
-    }
+    const Cycle t = fetchInstructions(stream_, icache_, insns, now);
 
     if (meter_)
         meter_->addAj(energy::EnergyCategory::Compute,

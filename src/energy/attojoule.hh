@@ -81,13 +81,20 @@ toAttojoules(double joules)
  * kMaxAttojoules instead of wrapping. A multi-second span at watt
  * scale can exceed 2^64 aJ; saturation keeps the result a valid
  * "more than the capacitor can hold" deposit in that case.
+ *
+ * The full 128-bit product is compared against the ceiling, so no
+ * divide runs per call. It saturates exactly where the division form
+ * `cycles > kMaxAttojoules / rate` does: for integers,
+ * c > floor(M / r) <=> r * c > M.
  */
 inline Attojoules
 scaleAttojoules(Attojoules rate, std::uint64_t cycles)
 {
-    if (rate != 0 && cycles > kMaxAttojoules / rate)
+    __extension__ using Wide = unsigned __int128;
+    const Wide product = static_cast<Wide>(rate) * cycles;
+    if (product > kMaxAttojoules)
         return kMaxAttojoules;
-    return rate * cycles;
+    return static_cast<Attojoules>(product);
 }
 
 /**

@@ -42,19 +42,11 @@ EnergyMeter::total() const
     return toJoules(totalAj());
 }
 
-Attojoules
-EnergyMeter::totalAj() const
-{
-    Attojoules sum = 0;
-    for (const Attojoules a : aj_)
-        sum += a;
-    return sum;
-}
-
 void
 EnergyMeter::reset()
 {
     aj_.fill(0);
+    total_aj_ = 0;
 }
 
 void
@@ -69,8 +61,11 @@ void
 EnergyMeter::restoreState(SnapshotReader &r)
 {
     r.section("METR");
-    for (Attojoules &a : aj_)
+    total_aj_ = 0;
+    for (Attojoules &a : aj_) {
         a = r.u64();
+        total_aj_ += a;
+    }
 }
 
 } // namespace energy

@@ -83,6 +83,7 @@ class EnergyMeter
     {
         wlc_assert(cat != EnergyCategory::NumCategories);
         aj_[static_cast<std::size_t>(cat)] += aj;
+        total_aj_ += aj;
     }
 
     /** Consumption of a single category, joules. */
@@ -94,8 +95,11 @@ class EnergyMeter
     /** Total across all categories, joules. */
     double total() const;
 
-    /** Total across all categories, attojoules (exact). */
-    Attojoules totalAj() const;
+    /**
+     * Total across all categories, attojoules (exact). Like the sum it
+     * equals, it wraps modulo 2^64.
+     */
+    Attojoules totalAj() const { return total_aj_; }
 
     /** Zero every category. */
     void reset();
@@ -108,6 +112,12 @@ class EnergyMeter
 
   private:
     std::array<Attojoules, kNumCategories> aj_{};
+
+    /**
+     * Running sum of aj_, kept by every writer so totalAj() (read once
+     * per event) is O(1). Derived state: never serialized.
+     */
+    Attojoules total_aj_ = 0;
 };
 
 } // namespace energy

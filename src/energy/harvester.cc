@@ -46,14 +46,6 @@ Harvester::currentPower() const
     return trace_.samples()[sample_idx_];
 }
 
-Attojoules
-Harvester::currentRateAj() const
-{
-    if (rate_aj_.empty())
-        return 0;
-    return rate_aj_[sample_idx_];
-}
-
 void
 Harvester::stepSample()
 {
@@ -92,7 +84,7 @@ Harvester::advanceWithinSample(Cycle cycles, Capacitor &cap)
 }
 
 Attojoules
-Harvester::advanceCycles(Cycle cycles, Capacitor &cap)
+Harvester::advanceSegments(Cycle cycles, Capacitor &cap)
 {
     if (infinite_) {
         now_cycles_ += cycles;

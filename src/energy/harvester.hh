@@ -50,9 +50,26 @@ class Harvester
      * Advance simulated time by @p cycles, harvesting into @p cap.
      * Walks whole sample segments closed-form; `advanceCycles(1)`
      * called N times reaches exactly the same state (integer adds).
+     * A span that stays inside the current sample (the common case,
+     * once per event) takes the inline single-segment path; zero
+     * cycles never does, because a zero-energy add would still snap
+     * a level above the rail down to it.
      * @return attojoules deposited.
      */
-    Attojoules advanceCycles(Cycle cycles, Capacitor &cap);
+    Attojoules
+    advanceCycles(Cycle cycles, Capacitor &cap)
+    {
+        if (!infinite_ && cycles > 0 &&
+            cycles < period_cycles_ - pos_in_sample_cycles_) {
+            const Attojoules deposited =
+                cap.addAj(scaleAttojoules(currentRateAj(), cycles));
+            total_harvested_aj_ += deposited;
+            now_cycles_ += cycles;
+            pos_in_sample_cycles_ += cycles;
+            return deposited;
+        }
+        return advanceSegments(cycles, cap);
+    }
 
     /**
      * Seconds-typed advanceCycles() (rounds @p dt_s to whole cycles).
@@ -100,7 +117,11 @@ class Harvester
     double currentPower() const;
 
     /** Per-cycle deposit rate of the current sample, attojoules. */
-    Attojoules currentRateAj() const;
+    Attojoules
+    currentRateAj() const
+    {
+        return rate_aj_.empty() ? 0 : rate_aj_[sample_idx_];
+    }
 
     /** Cycles covered by one trace sample. */
     Cycle periodCycles() const { return period_cycles_; }
@@ -112,6 +133,9 @@ class Harvester
     void restoreState(SnapshotReader &r);
 
   private:
+    /** advanceCycles() across sample boundaries (or infinite). */
+    Attojoules advanceSegments(Cycle cycles, Capacitor &cap);
+
     /** Move the cursor to the start of the next trace sample. */
     void stepSample();
 

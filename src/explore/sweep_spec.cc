@@ -987,6 +987,27 @@ finishPoint(const SweepSpec &spec,
         };
     }
 
+    // Size, associativity and line size interact (and a derived
+    // param may set one of them), so cache geometry is checked on the
+    // resolved config, before any job runs, not per binding.
+    const nvp::SystemConfig cfg = nvp::resolveConfig(es);
+    const std::pair<const char *, const cache::CacheParams *> caches[] = {
+        { "icache", &cfg.icache }, { "dcache", &cfg.dcache }
+    };
+    for (const auto &[name, params] : caches) {
+        const std::string why = params->geometryError();
+        if (why.empty())
+            continue;
+        if (err)
+            *err = "point '" + id + "': invalid " + name +
+                   " geometry (size_bytes=" +
+                   std::to_string(params->size_bytes) +
+                   ", assoc=" + std::to_string(params->assoc) +
+                   ", line_bytes=" + std::to_string(params->line_bytes) +
+                   "): " + why;
+        return false;
+    }
+
     out.id = std::move(id);
     out.params = std::move(bindings);
     out.spec = std::move(es);

@@ -153,8 +153,11 @@ bool parseSweepSpec(const std::string &json_text, SweepSpec &out,
  * An empty axes list with no explicit points yields the single base
  * point.
  *
- * @return true on success; false fills @p err (a derived source
- *         missing from a point is the only post-parse failure).
+ * @return true on success; false fills @p err when a point cannot
+ *         run: a derived source is unbound, a derived value is out of
+ *         range, or the resolved I- or D-cache geometry is invalid
+ *         (CacheParams::geometryError(); the message names the point
+ *         and the cache's size, associativity and line size).
  */
 bool expandPoints(const SweepSpec &spec,
                   std::vector<DesignPoint> &out,

@@ -86,6 +86,21 @@ TEST(ICacheStream, ExhibitsLoopLocality)
     EXPECT_GT(repeats, 10);
 }
 
+TEST(ICacheStream, RejectsCodeNoLargerThanTheLongestBody)
+{
+    // A far jump picks among code_bytes/4 - body_max_insns slots, so
+    // the footprint must hold more than one longest body.
+    ICacheStreamParams p = streamParams();
+    p.body_max_insns = 64;
+    p.code_bytes = 4 * 64;
+    EXPECT_DEATH(ICacheStream{ p },
+                 "code_bytes \\(256\\) must hold more than "
+                 "body_max_insns \\(64\\)");
+    p.code_bytes = 4 * 64 + 4;
+    ICacheStream ok(p);
+    EXPECT_GE(ok.take(1).pc, p.code_base);
+}
+
 namespace {
 
 struct CpuFixture : public ::testing::Test

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "energy/energy_meter.hh"
 #include "energy/harvester.hh"
 #include "energy/power_trace.hh"
+#include "sim/snapshot.hh"
 #include "util/strings.hh"
 
 using namespace wlcache;
@@ -467,6 +470,126 @@ TEST(EnergyMeter, ResetZeroes)
     m.add(EnergyCategory::Leakage, 1.0);
     m.reset();
     EXPECT_DOUBLE_EQ(m.total(), 0.0);
+}
+
+namespace {
+
+/** Sum of the per-category accumulators, wrapping like the meter. */
+Attojoules
+categorySum(const EnergyMeter &m)
+{
+    Attojoules sum = 0;
+    for (std::size_t c = 0; c < EnergyMeter::kNumCategories; ++c)
+        sum += m.getAj(static_cast<EnergyCategory>(c));
+    return sum;
+}
+
+} // namespace
+
+TEST(EnergyMeter, TotalIsTheCategorySumThroughResetAndRestore)
+{
+    std::mt19937_64 rng(99);
+    EnergyMeter m;
+    SnapshotWriter w;
+    for (int i = 0; i < 10000; ++i) {
+        const auto cat = static_cast<EnergyCategory>(
+            rng() % EnergyMeter::kNumCategories);
+        // Some adds are huge, so the sum wraps modulo 2^64.
+        m.addAj(cat, rng() % 4 == 0 ? rng() : rng() % 1000000);
+        ASSERT_EQ(m.totalAj(), categorySum(m));
+        if (i == 5000)
+            m.saveState(w);
+    }
+    const Attojoules at_save_sum = [&] {
+        EnergyMeter probe;
+        SnapshotReader r(w.data());
+        probe.restoreState(r);
+        return categorySum(probe);
+    }();
+
+    m.reset();
+    EXPECT_EQ(m.totalAj(), 0u);
+    m.addAj(EnergyCategory::Leakage, 7);
+    EXPECT_EQ(m.totalAj(), 7u);
+
+    SnapshotReader r(w.data());
+    m.restoreState(r);
+    EXPECT_EQ(m.totalAj(), categorySum(m));
+    EXPECT_EQ(m.totalAj(), at_save_sum);
+    m.addAj(EnergyCategory::Compute, 11);
+    EXPECT_EQ(m.totalAj(), at_save_sum + 11);
+}
+
+namespace {
+
+/** The division form scaleAttojoules() replaced. */
+Attojoules
+scaleByDivision(Attojoules rate, std::uint64_t cycles)
+{
+    if (rate != 0 && cycles > kMaxAttojoules / rate)
+        return kMaxAttojoules;
+    return rate * cycles;
+}
+
+} // namespace
+
+TEST(Attojoules, ScaleMatchesTheDivisionForm)
+{
+    constexpr Attojoules M = kMaxAttojoules;
+    constexpr std::uint64_t kAll = std::numeric_limits<std::uint64_t>::max();
+    for (const Attojoules r : { Attojoules{ 0 }, Attojoules{ 1 },
+                                Attojoules{ 3 }, Attojoules{ 7 }, M / 2,
+                                M }) {
+        std::vector<std::uint64_t> cs{ 0, 1, kAll };
+        if (r != 0) {
+            const std::uint64_t q = M / r;
+            cs.insert(cs.end(), { q - 1, q, q + 1 });
+        }
+        for (const std::uint64_t c : cs)
+            EXPECT_EQ(scaleAttojoules(r, c), scaleByDivision(r, c))
+                << "rate " << r << " cycles " << c;
+    }
+
+    // Random pairs of every magnitude, so products land on both sides
+    // of the ceiling.
+    std::mt19937_64 rng(2024);
+    for (int i = 0; i < 1000000; ++i) {
+        const Attojoules r = rng() >> (rng() % 64);
+        const std::uint64_t c = rng() >> (rng() % 64);
+        ASSERT_EQ(scaleAttojoules(r, c), scaleByDivision(r, c))
+            << "rate " << r << " cycles " << c;
+    }
+}
+
+TEST(Harvester, SingleSegmentAdvanceMatchesCycleSteps)
+{
+    // Spans inside one sample take the inline path; spans that reach
+    // or cross a boundary take the segment walk. Both must equal one
+    // cycle at a time, and a zero span must change nothing.
+    // 1 us samples: 1000 cycles each.
+    PowerTrace tr(1.0e-6,
+                  std::vector<double>{ 1.0e-3, 0.0, 4.0e-3, 2.0e-3 });
+    Harvester batched(tr);
+    Harvester stepped(tr);
+    Capacitor cb = paperCap();
+    Capacitor cs = paperCap();
+    std::mt19937_64 rng(5);
+    for (int i = 0; i < 2000; ++i) {
+        const Cycle span = rng() % 3 == 0 ? 0 : rng() % 2500;
+        const Attojoules got = batched.advanceCycles(span, cb);
+        Attojoules want = 0;
+        for (Cycle k = 0; k < span; ++k)
+            want += stepped.advanceCycles(1, cs);
+        ASSERT_EQ(got, want);
+        ASSERT_EQ(cb.storedAj(), cs.storedAj());
+        ASSERT_EQ(batched.nowCycles(), stepped.nowCycles());
+        ASSERT_EQ(batched.totalHarvestedAj(), stepped.totalHarvestedAj());
+        ASSERT_EQ(batched.currentRateAj(), stepped.currentRateAj());
+        // Drain about the mean deposit, so the level wanders between
+        // the rail clamp and free charging.
+        cb.drawAj(span * 1'500'000);
+        cs.drawAj(span * 1'500'000);
+    }
 }
 
 TEST(EnergyMeter, CategoryNames)

@@ -349,6 +349,75 @@ TEST(Expansion, DerivedViolatingConstraintsFailsCleanly)
     expectDiagnostic(err, "wl.maxline", ">= 1");
 }
 
+TEST(Expansion, RejectsInvalidIcacheGeometryBeforeAnyRun)
+{
+    // Each value passes its own check; only the resolved geometry
+    // (3000 B is no whole number of 64 B lines) is invalid.
+    const auto spec = parseOk(R"({
+        "base": {"design": "wl", "workload": "sha", "power": "trace1"},
+        "axes": [{"param": "icache.size_bytes", "values": [8192, 3000]}]
+    })");
+    std::vector<DesignPoint> points;
+    std::string err;
+    EXPECT_FALSE(expandPoints(spec, points, &err));
+    EXPECT_TRUE(points.empty());
+    expectDiagnostic(err, "point 'icache.size_bytes=3000'",
+                     "invalid icache geometry (size_bytes=3000, "
+                     "assoc=2, line_bytes=64): cache size must be a "
+                     "multiple of the line size");
+
+    // The explorer fails the same way, with nothing executed.
+    ExploreConfig cfg;
+    cfg.sweep = spec;
+    ExploreReport report;
+    std::string run_err;
+    EXPECT_FALSE(runExploration(cfg, report, &run_err));
+    EXPECT_EQ(run_err, err);
+    EXPECT_TRUE(report.outcomes.empty());
+}
+
+TEST(Expansion, RejectsInvalidDcacheSize)
+{
+    const auto spec = parseOk(R"({
+        "base": {"design": "wl", "workload": "sha", "power": "trace1"},
+        "axes": [{"param": "dcache.size_bytes", "values": [3000]}]
+    })");
+    std::vector<DesignPoint> points;
+    std::string err;
+    EXPECT_FALSE(expandPoints(spec, points, &err));
+    expectDiagnostic(err, "point 'dcache.size_bytes=3000'",
+                     "invalid dcache geometry (size_bytes=3000, "
+                     "assoc=2, line_bytes=64): cache size must be a "
+                     "multiple of the line size");
+}
+
+TEST(Expansion, RejectsInvalidAssociativityAndDerivedGeometry)
+{
+    // An explicit point: 128 lines do not split into 3 ways.
+    const auto assoc = parseOk(R"({
+        "base": {"design": "wl", "workload": "sha", "power": "trace1"},
+        "points": [{"dcache.assoc": 2}, {"dcache.assoc": 3}]
+    })");
+    std::vector<DesignPoint> points;
+    std::string err;
+    EXPECT_FALSE(expandPoints(assoc, points, &err));
+    expectDiagnostic(err, "point 'dcache.assoc=3'",
+                     "invalid dcache geometry (size_bytes=8192, "
+                     "assoc=3, line_bytes=64): cache associativity "
+                     "must divide the line count");
+
+    // A derived size is checked after it is applied: 1024 + 1000.
+    const auto derived = parseOk(R"({
+        "base": {"design": "wl", "workload": "sha"},
+        "axes": [{"param": "dcache.size_bytes", "values": [1024]}],
+        "derived": [{"param": "icache.size_bytes",
+                     "source": "dcache.size_bytes", "add": 1000}]
+    })");
+    EXPECT_FALSE(expandPoints(derived, points, &err));
+    expectDiagnostic(err, "icache.size_bytes=2024",
+                     "invalid icache geometry (size_bytes=2024");
+}
+
 TEST(Expansion, ExplicitPointsAppendAndOverrideBase)
 {
     const auto points = expandOk(parseOk(R"({

@@ -410,6 +410,33 @@ TEST(Fleet, WarmCacheExecutesNothing)
     std::filesystem::remove_all(dir);
 }
 
+TEST(Fleet, InvalidCacheGeometryFailsBeforeAnyRun)
+{
+    setQuiet(true);
+    const FleetSpec spec = parseOk(R"({
+        "name": "bad-geometry",
+        "nodes": 2,
+        "sweep": {
+            "base": {"design": "wl", "workload": "sha",
+                     "power": "trace1"},
+            "axes": [{"param": "icache.size_bytes",
+                      "values": [8192, 3000]}]
+        }
+    })");
+    FleetConfig cfg;
+    cfg.spec = spec;
+    FleetReport report;
+    std::string err;
+    EXPECT_FALSE(runFleet(cfg, report, &err));
+    EXPECT_NE(err.find("point 'icache.size_bytes=3000': invalid icache "
+                       "geometry (size_bytes=3000, assoc=2, "
+                       "line_bytes=64)"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(report.executed, 0u);
+    EXPECT_TRUE(report.outcomes.empty());
+}
+
 TEST(Fleet, NodesSeeDistinctTracesAndMixedWorkloads)
 {
     setQuiet(true);
