@@ -1,128 +1,11 @@
 #include "explore/explorer.hh"
 
-#include <algorithm>
-#include <memory>
-#include <numeric>
-
 #include "explore/objectives.hh"
 #include "explore/pareto.hh"
-#include "nvp/snapshot.hh"
 #include "runner/runner.hh"
-#include "runner/spec_key.hh"
-#include "sim/logging.hh"
-#include "workloads/workloads.hh"
 
 namespace wlcache {
 namespace explore {
-
-namespace {
-
-/** Evaluate @p points at @p scale through the runner. Each point may
-    carry a resume snapshot (snapshot_extend's final rung) — a pure
-    accelerator that never changes results or cache keys. */
-std::vector<nvp::RunResult>
-runPoints(const ExploreConfig &cfg,
-          const std::vector<const DesignPoint *> &points,
-          unsigned scale, ExploreReport &report, bool full_scale,
-          const std::vector<std::shared_ptr<nvp::SystemSnapshot>>
-              *resumes = nullptr)
-{
-    runner::JobSet set;
-    for (std::size_t k = 0; k < points.size(); ++k) {
-        const DesignPoint *p = points[k];
-        nvp::ExperimentSpec spec = p->spec;
-        spec.scale = scale;
-        const std::size_t j =
-            set.add(std::move(spec), p->id + "@x" +
-                                         std::to_string(scale));
-        if (resumes && (*resumes)[k] && (*resumes)[k]->valid())
-            set.setResume(j, (*resumes)[k]);
-    }
-    runner::RunnerConfig rc;
-    rc.jobs = cfg.jobs;
-    rc.cache_dir = cfg.cache_dir;
-    rc.snapshot_dir = cfg.snapshot_dir;
-    rc.progress = cfg.progress;
-    rc.progress_out = cfg.progress_out;
-    runner::Runner runner(rc);
-    auto results = runner.runAll(set);
-    const auto &stats = runner.stats();
-    report.cache_hits += stats.cache_hits;
-    report.executed += stats.executed;
-    (full_scale ? report.full_runs : report.triage_runs) +=
-        stats.total;
-    return results;
-}
-
-/**
- * One snapshot_extend triage rung: every entrant runs the
- * *full-scale* trace truncated at an event budget proportional to
- * @p scale, resuming from its previous rung's cut snapshot and
- * cutting a new one at the budget. @p cuts is parallel to
- * @p entrants: consumed as resume points, overwritten with the new
- * cuts. @p max_budget reports the rung's largest budget.
- */
-std::vector<nvp::RunResult>
-runExtendRung(const ExploreConfig &cfg,
-              const std::vector<const DesignPoint *> &entrants,
-              unsigned scale, unsigned full_scale,
-              std::vector<std::shared_ptr<nvp::SystemSnapshot>> &cuts,
-              std::uint64_t &max_budget, ExploreReport &report)
-{
-    runner::JobSet set;
-    std::vector<std::shared_ptr<nvp::SystemSnapshot>> next(
-        entrants.size());
-    max_budget = 0;
-    for (std::size_t k = 0; k < entrants.size(); ++k) {
-        nvp::ExperimentSpec spec = entrants[k]->spec;
-        const std::uint64_t total =
-            workloads::getTrace(spec.workload, spec.scale,
-                                spec.workload_seed)
-                .events.size();
-        std::uint64_t budget = total * scale / full_scale;
-        if (budget == 0)
-            budget = 1;
-        max_budget = std::max(max_budget, budget);
-        next[k] = std::make_shared<nvp::SystemSnapshot>();
-        const std::size_t j =
-            set.add(std::move(spec), entrants[k]->id + "@e" +
-                                         std::to_string(budget));
-        set.setBudget(j, budget, cuts[k], next[k]);
-    }
-    runner::RunnerConfig rc;
-    rc.jobs = cfg.jobs;
-    rc.cache_dir = cfg.cache_dir;
-    rc.snapshot_dir = cfg.snapshot_dir;
-    rc.progress = cfg.progress;
-    rc.progress_out = cfg.progress_out;
-    runner::Runner runner(rc);
-    auto results = runner.runAll(set);
-    const auto &stats = runner.stats();
-    report.cache_hits += stats.cache_hits;
-    report.executed += stats.executed;
-    report.triage_runs += stats.total;
-    cuts = std::move(next);
-    return results;
-}
-
-/** Objective vectors for @p points at the scale they just ran. */
-std::vector<std::vector<double>>
-evalAll(const std::vector<std::string> &names,
-        const std::vector<const DesignPoint *> &points,
-        const std::vector<nvp::RunResult> &results, unsigned scale)
-{
-    std::vector<std::vector<double>> out;
-    out.reserve(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        nvp::ExperimentSpec spec = points[i]->spec;
-        spec.scale = scale;
-        out.push_back(evalObjectives(names, results[i],
-                                     nvp::resolveConfig(spec), spec));
-    }
-    return out;
-}
-
-} // anonymous namespace
 
 bool
 runExploration(const ExploreConfig &cfg, ExploreReport &out,
@@ -151,135 +34,39 @@ runExploration(const ExploreConfig &cfg, ExploreReport &out,
     if (points.empty())
         return fail("sweep expands to zero points");
 
-    // The full scale every point shares. Halving owns the scale
-    // dimension, so a swept/per-point scale is rejected up front.
-    const unsigned full_scale = points.front().spec.scale;
-    if (cfg.sweep.mode == SearchMode::Halving) {
-        for (const auto &p : points)
-            if (p.spec.scale != full_scale)
-                return fail("halving cannot sweep 'scale' (it owns "
-                            "the scale dimension; bind scale in "
-                            "$.base)");
-    }
+    runner::JobSet set;
+    for (const DesignPoint &p : points)
+        set.add(p.spec, p.id + "@x" + std::to_string(p.spec.scale));
+    runner::RunnerConfig rc;
+    rc.jobs = cfg.jobs;
+    rc.cache_dir = cfg.cache_dir;
+    rc.progress = cfg.progress;
+    rc.progress_out = cfg.progress_out;
+    runner::Runner runner(rc);
+    std::vector<nvp::RunResult> results = runner.runAll(set);
 
     ExploreReport report;
     report.name = cfg.sweep.name;
-    report.mode = cfg.sweep.mode;
     report.objective_names = objectives;
-    report.expanded_points = points.size();
-    report.full_scale = full_scale;
+    report.cache_hits = runner.stats().cache_hits;
+    report.executed = runner.stats().executed;
 
-    // Survivors, as indices into `points`, kept in expansion order.
-    std::vector<std::size_t> alive(points.size());
-    std::iota(alive.begin(), alive.end(), 0);
-
-    std::vector<nvp::RunResult> final_results;
-    std::vector<std::vector<double>> final_objs;
-
-    // snapshot_extend: per-point cut snapshots, carried rung to rung
-    // (indexed like `points`; null until the point's first rung).
-    const bool extend = cfg.sweep.mode == SearchMode::Halving &&
-                        cfg.sweep.snapshot_extend;
-    std::vector<std::shared_ptr<nvp::SystemSnapshot>> cuts(
-        extend ? points.size() : 0);
-
-    if (cfg.sweep.mode == SearchMode::Halving &&
-        cfg.sweep.min_scale < full_scale && points.size() > 1) {
-        // Triage rungs: min_scale, x eta, ... strictly below full.
-        for (unsigned scale = cfg.sweep.min_scale;
-             scale < full_scale && alive.size() > 1;
-             scale *= cfg.sweep.eta) {
-            std::vector<const DesignPoint *> entrants;
-            for (const std::size_t i : alive)
-                entrants.push_back(&points[i]);
-            std::vector<nvp::RunResult> results;
-            std::vector<std::vector<double>> objs;
-            std::uint64_t budget = 0;
-            if (extend) {
-                std::vector<std::shared_ptr<nvp::SystemSnapshot>>
-                    rung_cuts;
-                rung_cuts.reserve(alive.size());
-                for (const std::size_t i : alive)
-                    rung_cuts.push_back(cuts[i]);
-                results = runExtendRung(cfg, entrants, scale,
-                                        full_scale, rung_cuts,
-                                        budget, report);
-                for (std::size_t k = 0; k < alive.size(); ++k)
-                    cuts[alive[k]] = rung_cuts[k];
-                // Budgeted rungs run the full-scale trace, so the
-                // objectives resolve at full scale.
-                objs = evalAll(objectives, entrants, results,
-                               full_scale);
-            } else {
-                results =
-                    runPoints(cfg, entrants, scale, report, false);
-                objs = evalAll(objectives, entrants, results, scale);
-            }
-
-            // Promote ceil(n/eta) by non-dominated rank, then
-            // objective vector, then id — whole Pareto fronts
-            // survive while they fit the quota.
-            const auto ranks = paretoRanks(objs);
-            std::vector<std::size_t> order(alive.size());
-            std::iota(order.begin(), order.end(), 0);
-            std::sort(order.begin(), order.end(),
-                      [&](std::size_t a, std::size_t b) {
-                          if (ranks[a] != ranks[b])
-                              return ranks[a] < ranks[b];
-                          if (objs[a] != objs[b])
-                              return objs[a] < objs[b];
-                          return entrants[a]->id < entrants[b]->id;
-                      });
-            const std::size_t keep =
-                (alive.size() + cfg.sweep.eta - 1) / cfg.sweep.eta;
-            std::vector<std::size_t> promoted;
-            for (std::size_t k = 0; k < keep; ++k)
-                promoted.push_back(alive[order[k]]);
-            std::sort(promoted.begin(), promoted.end());
-
-            report.rungs.push_back(
-                { scale, alive.size(), promoted.size(), budget });
-            alive = std::move(promoted);
-        }
-    }
-
-    // Final rung: survivors at full scale. Under snapshot_extend the
-    // survivors fast-forward from their last cut; the cache key stays
-    // the plain full-run key, so the result is interchangeable with a
-    // cold full-scale run.
-    {
-        std::vector<const DesignPoint *> entrants;
-        for (const std::size_t i : alive)
-            entrants.push_back(&points[i]);
-        std::vector<std::shared_ptr<nvp::SystemSnapshot>> resumes;
-        if (extend) {
-            resumes.reserve(alive.size());
-            for (const std::size_t i : alive)
-                resumes.push_back(cuts[i]);
-        }
-        final_results =
-            runPoints(cfg, entrants, full_scale, report, true,
-                      extend ? &resumes : nullptr);
-        final_objs =
-            evalAll(objectives, entrants, final_results, full_scale);
-        if (cfg.sweep.mode == SearchMode::Halving)
-            report.rungs.push_back(
-                { full_scale, alive.size(), alive.size() });
-    }
-
+    std::vector<std::vector<double>> objs;
     std::vector<std::string> ids;
-    for (std::size_t k = 0; k < alive.size(); ++k) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
         PointOutcome o;
-        o.point = points[alive[k]];
-        o.point.spec.scale = full_scale;
-        o.result = final_results[k];
-        o.objectives = final_objs[k];
-        o.run_key = runner::specKey(o.point.spec);
+        o.point = std::move(points[i]);
+        o.result = std::move(results[i]);
+        o.objectives = evalObjectives(objectives, o.result,
+                                      nvp::resolveConfig(o.point.spec),
+                                      o.point.spec);
+        o.run_key = set[i].key;
+        objs.push_back(o.objectives);
         ids.push_back(o.point.id);
         report.outcomes.push_back(std::move(o));
     }
 
-    report.frontier = paretoFrontier(final_objs, ids);
+    report.frontier = paretoFrontier(objs, ids);
     for (const std::size_t i : report.frontier)
         report.outcomes[i].on_frontier = true;
 

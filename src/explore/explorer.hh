@@ -4,18 +4,14 @@
  * points, evaluate them through the parallel runner (every run lands
  * in the content-addressed result cache, so explorations are
  * resumable and warm re-runs execute nothing), and extract the
- * Pareto frontier over the chosen objectives. Two search modes:
- * exhaustive evaluation of every point at full scale, and budgeted
- * successive halving that triages the whole space on short-scale
- * runs and promotes only the most promising configurations (by
- * non-dominated rank) to the full-scale rung.
+ * Pareto frontier over the chosen objectives. The search is
+ * exhaustive: every expanded point runs once, at its own scale.
  */
 
 #ifndef WLCACHE_EXPLORE_EXPLORER_HH
 #define WLCACHE_EXPLORE_EXPLORER_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -42,19 +38,12 @@ struct ExploreConfig
 
     unsigned jobs = 0;          //!< Worker threads (0 = default).
     std::string cache_dir;      //!< Result cache; empty disables.
-    /**
-     * Snapshot-store directory for snapshot_extend halving: rung cut
-     * snapshots persist here (keyed like the result cache) so a warm
-     * re-exploration can still extend cached rungs. Empty keeps cuts
-     * in memory for this exploration only.
-     */
-    std::string snapshot_dir;
     bool progress = false;      //!< Per-job progress lines.
     /** Progress sink; null falls back to std::cerr. */
     std::ostream *progress_out = nullptr;
 };
 
-/** One fully-evaluated point (at full scale). */
+/** One evaluated point. */
 struct PointOutcome
 {
     DesignPoint point;
@@ -62,7 +51,7 @@ struct PointOutcome
     /** Objective values, in report objective order (all minimize). */
     std::vector<double> objectives;
     /**
-     * Content-addressed key of the full-scale run — the name of the
+     * Content-addressed key of the point's run — the name of the
      * run-record JSON in the result cache, which carries the full
      * stats tree and per-interval rollups for this point.
      */
@@ -70,31 +59,13 @@ struct PointOutcome
     bool on_frontier = false;
 };
 
-/** One successive-halving rung. */
-struct RungStats
-{
-    unsigned scale = 1;          //!< Workload scale of this rung.
-    std::size_t entrants = 0;    //!< Points evaluated.
-    std::size_t promoted = 0;    //!< Points advanced to the next rung.
-    /**
-     * Largest per-point event budget of a snapshot_extend rung (the
-     * full-scale trace truncated proportionally); 0 on scale-based
-     * rungs and the final full rung.
-     */
-    std::uint64_t budget_events = 0;
-};
-
 /** Everything an exploration learned. */
 struct ExploreReport
 {
     std::string name;
-    SearchMode mode = SearchMode::Exhaustive;
     std::vector<std::string> objective_names;
 
-    /**
-     * Full-scale-evaluated points in expansion order (every point
-     * for exhaustive search; the final-rung survivors for halving).
-     */
+    /** Every expanded point, in expansion order. */
     std::vector<PointOutcome> outcomes;
     /**
      * Frontier as indices into @c outcomes, ordered by objective
@@ -102,23 +73,15 @@ struct ExploreReport
      */
     std::vector<std::size_t> frontier;
 
-    std::size_t expanded_points = 0;  //!< Points in the sweep.
-    unsigned full_scale = 1;          //!< Scale of the final rung.
-
-    // --- Run economics (all rungs) ---
-    std::size_t full_runs = 0;    //!< Jobs at full scale.
-    std::size_t triage_runs = 0;  //!< Jobs at reduced scale.
+    // --- Run economics ---
     std::size_t cache_hits = 0;   //!< Served from the result cache.
     std::size_t executed = 0;     //!< Actual simulator executions.
-
-    std::vector<RungStats> rungs; //!< Halving schedule (empty when
-                                  //!< exhaustive).
 };
 
 /**
  * Run one exploration.
  * @return true on success; false fills @p err (bad objective name,
- *         halving over a swept "scale" parameter, expansion failure).
+ *         expansion failure).
  */
 bool runExploration(const ExploreConfig &cfg, ExploreReport &out,
                     std::string *err = nullptr);

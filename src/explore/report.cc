@@ -85,18 +85,8 @@ writeFrontierMarkdown(std::ostream &os, const ExploreReport &report,
                       const std::string &cache_dir)
 {
     os << "# Exploration frontier: " << report.name << "\n\n";
-    os << "- search: " << searchModeName(report.mode) << ", "
-       << report.expanded_points << " points expanded, "
-       << report.outcomes.size()
-       << " evaluated at full scale (x" << report.full_scale
-       << ")\n";
-    if (!report.rungs.empty()) {
-        os << "- rungs:";
-        for (const auto &r : report.rungs)
-            os << " x" << r.scale << ":" << r.entrants << "->"
-               << r.promoted;
-        os << "\n";
-    }
+    os << "- search: exhaustive, " << report.outcomes.size()
+       << " points\n";
     os << "- objectives (all minimized):";
     for (const auto &name : report.objective_names)
         os << " " << name;
@@ -137,11 +127,9 @@ writeFrontierMarkdown(std::ostream &os, const ExploreReport &report,
 void
 writeSummaryText(std::ostream &os, const ExploreReport &report)
 {
-    os << "=== " << report.name << ": " << report.expanded_points
-       << " points, " << report.outcomes.size()
-       << " at full scale, " << report.frontier.size()
-       << " on the frontier (" << searchModeName(report.mode)
-       << ") ===\n";
+    os << "=== " << report.name << ": " << report.outcomes.size()
+       << " points, " << report.frontier.size()
+       << " on the frontier ===\n";
     util::TextTable t;
     std::vector<std::string> header{ "#", "point" };
     for (const auto &name : report.objective_names)
@@ -160,16 +148,9 @@ writeSummaryText(std::ostream &os, const ExploreReport &report)
         t.row(row);
     }
     t.print(os);
-    if (!report.rungs.empty()) {
-        os << "rungs:";
-        for (const auto &r : report.rungs)
-            os << " x" << r.scale << ":" << r.entrants << "->"
-               << r.promoted;
-        os << "\n";
-    }
-    os << "runs: " << report.full_runs << " full-scale + "
-       << report.triage_runs << " triage, " << report.cache_hits
-       << " cached, " << report.executed << " executed\n";
+    os << "runs: " << report.outcomes.size() << ", "
+       << report.cache_hits << " cached, " << report.executed
+       << " executed\n";
 }
 
 } // namespace explore

@@ -60,16 +60,6 @@ boolValue(bool b)
     return out;
 }
 
-const char *
-searchModeName(SearchMode m)
-{
-    switch (m) {
-      case SearchMode::Exhaustive: return "exhaustive";
-      case SearchMode::Halving:    return "halving";
-    }
-    panic("unknown SearchMode %d", static_cast<int>(m));
-}
-
 namespace {
 
 bool
@@ -791,56 +781,6 @@ parseSweepSpec(const std::string &json_text, SweepSpec &out,
                     return false;
                 }
                 spec.objectives.push_back(jv.items()[i].asString());
-            }
-        } else if (key == "search") {
-            if (!jv.isObject()) {
-                if (err)
-                    *err = path + ": expected an object "
-                                  "{mode, eta?, min_scale?, "
-                                  "snapshot_extend?}";
-                return false;
-            }
-            for (const auto &[skey, sv] : jv.members()) {
-                if (skey == "mode") {
-                    if (!sv.isString() ||
-                        (sv.asString() != "exhaustive" &&
-                         sv.asString() != "halving")) {
-                        if (err)
-                            *err = path + ".mode: expected "
-                                          "\"exhaustive\" or "
-                                          "\"halving\"";
-                        return false;
-                    }
-                    spec.mode = sv.asString() == "halving"
-                                    ? SearchMode::Halving
-                                    : SearchMode::Exhaustive;
-                } else if (skey == "eta" || skey == "min_scale") {
-                    const double lo = skey == "eta" ? 2.0 : 1.0;
-                    if (!sv.isNumber() ||
-                        sv.asDouble() != std::floor(sv.asDouble()) ||
-                        sv.asDouble() < lo) {
-                        if (err)
-                            *err = path + "." + skey +
-                                   ": expected an integer >= " +
-                                   numValue(lo).text;
-                        return false;
-                    }
-                    (skey == "eta" ? spec.eta : spec.min_scale) =
-                        static_cast<unsigned>(sv.asDouble());
-                } else if (skey == "snapshot_extend") {
-                    if (!sv.isBool()) {
-                        if (err)
-                            *err = path + ".snapshot_extend: "
-                                          "expected a boolean";
-                        return false;
-                    }
-                    spec.snapshot_extend = sv.asBool();
-                } else {
-                    if (err)
-                        *err = path + "." + skey +
-                               ": unknown search key";
-                    return false;
-                }
             }
         } else {
             if (err)

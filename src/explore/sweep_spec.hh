@@ -74,15 +74,6 @@ struct DerivedParam
     double add = 0.0;
 };
 
-/** How the exploration searches the expanded space. */
-enum class SearchMode
-{
-    Exhaustive,  //!< Evaluate every point at full scale.
-    Halving,     //!< Successive halving: triage short, promote.
-};
-
-const char *searchModeName(SearchMode m);
-
 /** A full declarative sweep. */
 struct SweepSpec
 {
@@ -99,23 +90,6 @@ struct SweepSpec
 
     /** Objective names (see objectives.hh); may be empty. */
     std::vector<std::string> objectives;
-
-    // --- "search" block ---
-    SearchMode mode = SearchMode::Exhaustive;
-    /** Halving promotion factor (keep ceil(n/eta) per rung). */
-    unsigned eta = 2;
-    /** Workload scale of the cheapest triage rung. */
-    unsigned min_scale = 1;
-    /**
-     * Halving rungs as event budgets instead of reduced scales: every
-     * rung runs the full-scale trace truncated at a proportional
-     * event budget, each run cuts a snapshot at its budget, and a
-     * promoted point *extends* its snapshot on the next rung instead
-     * of re-simulating from cycle 0. The final rung resumes from the
-     * last cut and produces the exact full-scale result (resume is
-     * observationally identical to cold execution).
-     */
-    bool snapshot_extend = false;
 };
 
 /** One fully-resolved point of the expanded space. */

@@ -264,7 +264,6 @@ runFleet(const FleetConfig &cfg, FleetReport &out, std::string *err)
     runner::RunnerConfig rc;
     rc.jobs = cfg.jobs;
     rc.cache_dir = cfg.cache_dir;
-    rc.snapshot_dir = cfg.snapshot_dir;
     rc.progress = cfg.progress;
     rc.progress_out = cfg.progress_out;
     runner::Runner runner(rc);

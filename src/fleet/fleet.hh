@@ -125,7 +125,6 @@ struct FleetConfig
     FleetSpec spec;
     unsigned jobs = 0;          //!< Worker threads (0 = default).
     std::string cache_dir;      //!< Result cache; empty disables.
-    std::string snapshot_dir;   //!< Snapshot store; empty disables.
     bool progress = false;      //!< Per-job progress lines.
     std::ostream *progress_out = nullptr;
 };

@@ -57,7 +57,7 @@ SystemConfig resolveConfig(const ExperimentSpec &spec);
 RunResult runExperiment(const ExperimentSpec &spec);
 
 /**
- * Run one experiment with snapshot/resume/budget controls (see
+ * Run one experiment with snapshot/resume controls (see
  * RunOptions). runExperiment(spec) == runExperimentEx(spec, {}).
  */
 RunResult runExperimentEx(const ExperimentSpec &spec,

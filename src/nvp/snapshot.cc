@@ -1,7 +1,5 @@
 #include "nvp/snapshot.hh"
 
-#include <cstring>
-
 #include "sim/snapshot.hh"
 
 namespace wlcache {
@@ -11,6 +9,60 @@ namespace {
 
 /** Store-blob magic: "WLSN" little-endian. */
 constexpr std::uint32_t kBlobMagic = 0x4e534c57u;
+/** Snapshot-set magic: "WLSS" little-endian. */
+constexpr std::uint32_t kSetMagic = 0x53534c57u;
+constexpr std::uint32_t kSetVersion = 1;
+
+/**
+ * Bounds-checked little-endian cursor: a short read fails instead of
+ * tripping SnapshotReader's panic-on-underflow contract, so a corrupt
+ * store entry reads as a miss.
+ */
+struct Cursor
+{
+    const std::uint8_t *p;
+    std::size_t n;
+    std::size_t pos = 0;
+
+    std::size_t left() const { return n - pos; }
+
+    template <typename T>
+    bool le(T &v)
+    {
+        if (left() < sizeof(T))
+            return false;
+        v = 0;
+        for (unsigned i = 0; i < sizeof(T); ++i)
+            v |= static_cast<T>(p[pos++]) << (8 * i);
+        return true;
+    }
+};
+
+/** decodeSnapshot() over the @p n bytes at @p p. */
+bool
+decodeBlob(const std::uint8_t *p, std::size_t n, SystemSnapshot &out)
+{
+    Cursor c{ p, n };
+    std::uint32_t magic = 0, version = 0;
+    std::uint64_t key_len = 0;
+    if (!c.le(magic) || magic != kBlobMagic || !c.le(version) ||
+        version != SystemSnapshot::kFormatVersion || !c.le(key_len) ||
+        c.left() < key_len)
+        return false;
+    SystemSnapshot s;
+    s.compat_key.assign(reinterpret_cast<const char *>(p + c.pos),
+                        static_cast<std::size_t>(key_len));
+    c.pos += static_cast<std::size_t>(key_len);
+
+    std::uint64_t state_len = 0;
+    if (!c.le(s.cycle) || !c.le(s.event_index) || !c.le(state_len) ||
+        state_len == 0 || c.left() != state_len)
+        return false;
+    s.state.assign(p + c.pos, p + n);
+
+    out = std::move(s);
+    return true;
+}
 
 } // namespace
 
@@ -42,54 +94,52 @@ encodeSnapshot(const SystemSnapshot &s)
 bool
 decodeSnapshot(const std::vector<std::uint8_t> &blob, SystemSnapshot &out)
 {
-    // Hand-rolled cursor: a corrupt store entry must read as a miss,
-    // not trip SnapshotReader's panic-on-underflow contract.
-    std::size_t pos = 0;
-    auto avail = [&](std::size_t n) { return blob.size() - pos >= n; };
-    auto rd_u32 = [&](std::uint32_t &v) {
-        if (!avail(4))
-            return false;
-        v = 0;
-        for (unsigned i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(blob[pos++]) << (8 * i);
-        return true;
-    };
-    auto rd_u64 = [&](std::uint64_t &v) {
-        if (!avail(8))
-            return false;
-        v = 0;
-        for (unsigned i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(blob[pos++]) << (8 * i);
-        return true;
-    };
+    return decodeBlob(blob.data(), blob.size(), out);
+}
 
+std::vector<std::uint8_t>
+encodeSnapshotSet(const SnapshotSet &set)
+{
+    SnapshotWriter w;
+    w.u32(kSetMagic);
+    w.u32(kSetVersion);
+    w.u64(set.interval);
+    w.u64(set.snaps.size());
+    for (const SystemSnapshot &snap : set.snaps)
+        w.vecU8(encodeSnapshot(snap));
+    return w.take();
+}
+
+bool
+decodeSnapshotSet(const std::vector<std::uint8_t> &blob,
+                  SnapshotSet &out)
+{
+    Cursor c{ blob.data(), blob.size() };
     std::uint32_t magic = 0, version = 0;
-    if (!rd_u32(magic) || magic != kBlobMagic)
+    std::uint64_t count = 0;
+    SnapshotSet set;
+    if (!c.le(magic) || magic != kSetMagic || !c.le(version) ||
+        version != kSetVersion || !c.le(set.interval) || !c.le(count))
         return false;
-    if (!rd_u32(version) || version != SystemSnapshot::kFormatVersion)
+    // Every entry starts with its 8-byte length, so a count the bytes
+    // left cannot hold is corrupt and must not size an allocation.
+    if (count > c.left() / 8)
         return false;
-
-    std::uint64_t key_len = 0;
-    if (!rd_u64(key_len) || !avail(key_len))
-        return false;
-    SystemSnapshot s;
-    s.compat_key.assign(reinterpret_cast<const char *>(blob.data() + pos),
-                        static_cast<std::size_t>(key_len));
-    pos += static_cast<std::size_t>(key_len);
-
-    if (!rd_u64(s.cycle) || !rd_u64(s.event_index))
-        return false;
-    std::uint64_t state_len = 0;
-    if (!rd_u64(state_len) || !avail(state_len))
-        return false;
-    s.state.assign(blob.begin() + static_cast<std::ptrdiff_t>(pos),
-                   blob.begin() +
-                       static_cast<std::ptrdiff_t>(pos + state_len));
-    pos += static_cast<std::size_t>(state_len);
-    if (pos != blob.size() || s.state.empty())
+    set.snaps.reserve(static_cast<std::size_t>(count));
+    for (std::uint64_t i = 0; i < count; ++i) {
+        std::uint64_t len = 0;
+        SystemSnapshot snap;
+        if (!c.le(len) || c.left() < len ||
+            !decodeBlob(blob.data() + c.pos,
+                        static_cast<std::size_t>(len), snap))
+            return false;
+        c.pos += static_cast<std::size_t>(len);
+        set.snaps.push_back(std::move(snap));
+    }
+    if (c.left() != 0)
         return false;
 
-    out = std::move(s);
+    out = std::move(set);
     return true;
 }
 

@@ -8,10 +8,8 @@
  * RunResult, same final-image digest, same post-resume timeline.
  *
  * Fault-injection campaigns use interval snapshots of the golden run
- * to fast-forward each injection point past its (identical) prefix;
- * the explorer's successive-halving extends triage rungs instead of
- * re-simulating them; the runner stores snapshots content-addressed
- * next to its result cache.
+ * to fast-forward each injection point past its (identical) prefix,
+ * and persist that ladder with runner::SnapshotStore.
  */
 
 #ifndef WLCACHE_NVP_SNAPSHOT_HH
@@ -94,6 +92,18 @@ std::vector<std::uint8_t> encodeSnapshot(const SystemSnapshot &s);
  */
 bool decodeSnapshot(const std::vector<std::uint8_t> &blob,
                     SystemSnapshot &out);
+
+/** Encode a snapshot set (a `.snapset` file's bytes). */
+std::vector<std::uint8_t> encodeSnapshotSet(const SnapshotSet &set);
+
+/**
+ * Decode a blob produced by encodeSnapshotSet().
+ * @return false (leaving @p out untouched) on any corruption, with
+ * the same never-panic contract as decodeSnapshot(). The entry count
+ * is checked against the bytes present before anything is allocated.
+ */
+bool decodeSnapshotSet(const std::vector<std::uint8_t> &blob,
+                       SnapshotSet &out);
 
 } // namespace nvp
 } // namespace wlcache

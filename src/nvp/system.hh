@@ -162,7 +162,7 @@ struct RunResult
     std::uint64_t intervals_dropped = 0;
 };
 
-/** Optional run-loop controls: snapshot capture, resume, budgets. */
+/** Optional run-loop controls: snapshot capture and resume. */
 struct RunOptions
 {
     /**
@@ -170,16 +170,6 @@ struct RunOptions
      * cold). The snapshot's compat_key must match this system's.
      */
     const SystemSnapshot *resume = nullptr;
-
-    /**
-     * Stop once this many trace events have been consumed since run
-     * start (0 = run to completion). The budget is an absolute event
-     * index, so resumed runs count their fast-forwarded prefix.
-     */
-    std::uint64_t max_events = 0;
-
-    /** Receives the cut state when max_events stops the run early. */
-    SystemSnapshot *cut = nullptr;
 
     /**
      * Capture a snapshot at the first event boundary at or past every
@@ -211,7 +201,7 @@ class SystemSim
     /** Run the workload to completion (or until max_outages). */
     RunResult run();
 
-    /** Run with snapshot/resume/budget controls. */
+    /** Run with snapshot/resume controls. */
     RunResult run(const RunOptions &opts);
 
     /**

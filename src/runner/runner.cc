@@ -11,7 +11,6 @@
 #include "nvp/run_json.hh"
 #include "runner/progress.hh"
 #include "runner/result_cache.hh"
-#include "runner/snapshot_store.hh"
 #include "runner/spec_key.hh"
 #include "sim/logging.hh"
 #include "util/fs.hh"
@@ -52,7 +51,6 @@ Runner::runAll(const JobSet &set)
         return results;
 
     const ResultCache cache(cfg_.cache_dir);
-    const SnapshotStore snaps(cfg_.snapshot_dir);
     std::ostream *pout = nullptr;
     if (cfg_.progress)
         pout = cfg_.progress_out ? cfg_.progress_out : &std::cerr;
@@ -87,22 +85,11 @@ Runner::runAll(const JobSet &set)
                 claim = cache.claim(job.key);
                 rec.cached = cache.load(job.key, results[i]);
             }
-            if (rec.cached) {
-                // A warm partial job still needs its cut snapshot so
-                // a later rung can resume from it.
-                if (job.max_events && job.cut && !job.cut->valid())
-                    snaps.load(job.key, *job.cut);
-            } else {
+            if (!rec.cached) {
                 nvp::RunOptions ro;
-                ro.max_events = job.max_events;
                 if (job.resume && job.resume->valid())
                     ro.resume = job.resume.get();
-                ro.cut = job.cut.get();
                 results[i] = nvp::runExperimentEx(job.spec, ro);
-                // Publish the cut snapshot before the result: a
-                // reader that sees the result finds its snapshot.
-                if (job.max_events && job.cut && job.cut->valid())
-                    snaps.store(job.key, *job.cut);
                 cache.store(job.key, results[i]);
                 executed.fetch_add(1, std::memory_order_relaxed);
                 const std::uint64_t skipped =

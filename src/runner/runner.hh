@@ -41,15 +41,6 @@ struct RunnerConfig
      */
     std::string cache_dir;
 
-    /**
-     * Snapshot-store directory; empty disables it. When set, a job
-     * that cuts at an event budget has its cut snapshot stored under
-     * the job's (partial) key, and a cache-hit partial job gets its
-     * cut snapshot loaded back — so a warm explorer rung can still be
-     * resumed instead of re-simulated.
-     */
-    std::string snapshot_dir;
-
     /** Emit per-job progress lines to @c progress_out (stderr). */
     bool progress = false;
     /** Progress sink; null falls back to std::cerr. */

@@ -66,14 +66,6 @@ std::string specKey(const nvp::ExperimentSpec &spec);
  */
 std::string resumeKey(const nvp::ExperimentSpec &spec);
 
-/**
- * Cache key for a budget-truncated run of @p spec that stops after
- * @p max_events trace events. A partial run's record must never alias
- * the full run's, so the event budget is folded into the key.
- */
-std::string partialKey(const nvp::ExperimentSpec &spec,
-                       std::uint64_t max_events);
-
 } // namespace runner
 } // namespace wlcache
 

@@ -4,25 +4,26 @@
  * parsing (every rejection names the offending axis/key with its
  * JSON path), axis expansion order and derived parameters, the
  * objective registry, the Pareto machinery, deterministic report
- * writers, and end-to-end explorations — exhaustive determinism,
- * warm-cache resumption, and successive halving reaching the
- * exhaustive frontier with fewer full-scale runs.
+ * writers, end-to-end explorations (determinism, warm-cache
+ * resumption, per-point scale), and every committed example spec.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "explore/explorer.hh"
-#include "nvp/run_json.hh"
 #include "explore/objectives.hh"
 #include "explore/pareto.hh"
 #include "explore/report.hh"
 #include "explore/sweep_spec.hh"
+#include "fleet/fleet.hh"
+#include "fleet/fleet_spec.hh"
 #include "runner/spec_key.hh"
 #include "sim/logging.hh"
 #include "workloads/workloads.hh"
@@ -88,8 +89,7 @@ TEST(SweepSpec, ParsesFullSpec)
         "points": [{"design": "replay", "wl.maxline": 4}],
         "derived": [{"param": "wl.waterline_gap",
                      "source": "wl.maxline", "mul": 0, "add": 1}],
-        "objectives": ["time", "nvm_writes"],
-        "search": {"mode": "halving", "eta": 2, "min_scale": 1}
+        "objectives": ["time", "nvm_writes"]
     })");
     EXPECT_EQ(spec.name, "demo");
     ASSERT_EQ(spec.base.size(), 3u);
@@ -104,9 +104,6 @@ TEST(SweepSpec, ParsesFullSpec)
     EXPECT_DOUBLE_EQ(spec.derived[0].mul, 0.0);
     EXPECT_DOUBLE_EQ(spec.derived[0].add, 1.0);
     ASSERT_EQ(spec.objectives.size(), 2u);
-    EXPECT_EQ(spec.mode, SearchMode::Halving);
-    EXPECT_EQ(spec.eta, 2u);
-    EXPECT_EQ(spec.min_scale, 1u);
 }
 
 TEST(SweepSpec, RejectsInvalidJson)
@@ -249,19 +246,14 @@ TEST(SweepSpec, RejectsBadPoints)
 
 TEST(SweepSpec, RejectsBadSearch)
 {
-    expectDiagnostic(
-        parseErr(R"({"search": {"mode": "random"}})"),
-        "$.search.mode", "\"exhaustive\" or \"halving\"");
-    expectDiagnostic(
-        parseErr(R"({"search": {"mode": "halving", "eta": 1}})"),
-        "$.search.eta", "integer >= 2");
-    expectDiagnostic(
-        parseErr(R"({"search": {"mode": "halving",
-                                "min_scale": 0.5}})"),
-        "$.search.min_scale", "integer >= 1");
-    expectDiagnostic(
-        parseErr(R"({"search": {"budget": 10}})"),
-        "$.search.budget", "unknown search key");
+    // The search is always exhaustive; a leftover "search" block is
+    // an unknown key, whatever it holds.
+    for (const char *doc :
+         { R"({"search": {"mode": "exhaustive"}})",
+           R"({"search": {"mode": "halving", "eta": 2}})",
+           R"({"search": {"snapshot_extend": true}})" })
+        expectDiagnostic(parseErr(doc), "$.search",
+                         "unknown sweep-spec key");
 }
 
 // ---------------------------------------------------------------------
@@ -576,24 +568,6 @@ TEST(Pareto, FrontierKeepsTiesAndOrdersDeterministically)
     EXPECT_EQ(front[3], 0u);
 }
 
-TEST(Pareto, RanksPeelLayers)
-{
-    const std::vector<std::vector<double>> objs = {
-        { 1.0, 4.0 }, // rank 0
-        { 2.0, 3.0 }, // rank 0
-        { 3.0, 3.0 }, // rank 1 (dominated by {2,3})
-        { 4.0, 4.0 }, // rank 2 (dominated by {3,3} too)
-        { 4.0, 1.0 }, // rank 0
-    };
-    const auto ranks = paretoRanks(objs);
-    ASSERT_EQ(ranks.size(), 5u);
-    EXPECT_EQ(ranks[0], 0u);
-    EXPECT_EQ(ranks[1], 0u);
-    EXPECT_EQ(ranks[2], 1u);
-    EXPECT_EQ(ranks[3], 2u);
-    EXPECT_EQ(ranks[4], 0u);
-}
-
 // ---------------------------------------------------------------------
 // Report writers (synthetic report: no simulation involved).
 // ---------------------------------------------------------------------
@@ -605,10 +579,7 @@ syntheticReport()
 {
     ExploreReport r;
     r.name = "synthetic";
-    r.mode = SearchMode::Exhaustive;
     r.objective_names = { "time", "nvm_writes" };
-    r.expanded_points = 2;
-    r.full_scale = 1;
 
     PointOutcome a;
     a.point.id = "design=wl";
@@ -676,25 +647,6 @@ TEST(Report, MarkdownPointsAtRunRecords)
 
 namespace {
 
-/** The reference sweep for halving-vs-exhaustive equivalence. */
-SweepSpec
-referenceSweep(SearchMode mode)
-{
-    auto spec = parseOk(R"({
-        "name": "reference",
-        "base": {"workload": "sha", "power": "trace1", "scale": 2},
-        "axes": [
-            {"param": "design",
-             "values": ["wl", "nvsram", "replay", "wt"]},
-            {"param": "wl.maxline", "values": [2, 6]}
-        ],
-        "objectives": ["time", "nvm_writes"],
-        "search": {"mode": "halving", "eta": 2, "min_scale": 1}
-    })");
-    spec.mode = mode;
-    return spec;
-}
-
 bool
 runSweep(const SweepSpec &sweep, ExploreReport &out,
         const std::string &cache_dir = "")
@@ -736,17 +688,6 @@ TEST(Explorer, RejectsBadInputsWithClearErrors)
     std::string err;
     EXPECT_FALSE(runExploration(cfg, report, &err));
     EXPECT_NE(err.find("unknown objective 'bogus'"),
-              std::string::npos);
-
-    // Halving owns the scale dimension.
-    ExploreConfig halving;
-    halving.sweep = parseOk(R"({
-        "base": {"workload": "sha"},
-        "axes": [{"param": "scale", "values": [1, 2]}],
-        "search": {"mode": "halving"}
-    })");
-    EXPECT_FALSE(runExploration(halving, report, &err));
-    EXPECT_NE(err.find("halving cannot sweep 'scale'"),
               std::string::npos);
 }
 
@@ -799,67 +740,59 @@ TEST(Explorer, WarmCacheExecutesNothing)
     EXPECT_EQ(renderMd(cold), renderMd(warm));
 }
 
-TEST(Explorer, HalvingReachesExhaustiveFrontierWithFewerFullRuns)
+TEST(Explorer, SweptScaleRunsEachPointAtItsScale)
 {
-    ExploreReport exhaustive, halving;
-    ASSERT_TRUE(
-        runSweep(referenceSweep(SearchMode::Exhaustive), exhaustive));
-    ASSERT_TRUE(runSweep(referenceSweep(SearchMode::Halving), halving));
-
-    // Same frontier, point for point, in the same order.
-    ASSERT_EQ(halving.frontier.size(), exhaustive.frontier.size());
-    for (std::size_t i = 0; i < halving.frontier.size(); ++i) {
-        const auto &h = halving.outcomes[halving.frontier[i]];
-        const auto &e = exhaustive.outcomes[exhaustive.frontier[i]];
-        EXPECT_EQ(h.point.id, e.point.id);
-        EXPECT_EQ(h.objectives, e.objectives);
-        EXPECT_EQ(h.run_key, e.run_key);
-    }
-
-    // ...found with measurably fewer full-scale simulations.
-    EXPECT_EQ(exhaustive.full_runs, 8u);
-    EXPECT_LT(halving.full_runs, exhaustive.full_runs);
-    EXPECT_GT(halving.triage_runs, 0u);
-    ASSERT_EQ(halving.rungs.size(), 2u);
-    EXPECT_EQ(halving.rungs[0].scale, 1u);
-    EXPECT_EQ(halving.rungs[0].entrants, 8u);
-    EXPECT_EQ(halving.rungs[0].promoted, 4u);
-    EXPECT_EQ(halving.rungs[1].scale, 2u);
+    ExploreReport report;
+    ASSERT_TRUE(runSweep(parseOk(R"({
+        "name": "scales",
+        "base": {"workload": "sha", "power": "none"},
+        "axes": [{"param": "scale", "values": [1, 2]}]
+    })"), report));
+    ASSERT_EQ(report.outcomes.size(), 2u);
+    for (const auto &o : report.outcomes)
+        EXPECT_EQ(o.run_key, runner::specKey(o.point.spec));
+    EXPECT_EQ(report.outcomes[0].point.spec.scale, 1u);
+    EXPECT_EQ(report.outcomes[1].point.spec.scale, 2u);
+    EXPECT_LT(report.outcomes[0].result.trace_events,
+              report.outcomes[1].result.trace_events);
 }
 
-TEST(Explorer, SnapshotExtendFinalsMatchColdFullRuns)
+// ---------------------------------------------------------------------
+// Committed example specs.
+// ---------------------------------------------------------------------
+
+TEST(Examples, EveryCommittedSpecParsesAndExpands)
 {
-    // snapshot_extend parses in the search block...
-    const auto parsed = parseOk(R"({
-        "name": "x", "base": {"workload": "sha"},
-        "search": {"mode": "halving", "snapshot_extend": true}
-    })");
-    EXPECT_TRUE(parsed.snapshot_extend);
-    expectDiagnostic(
-        parseErr(R"({"search": {"snapshot_extend": 1}})"),
-        "$.search.snapshot_extend", "boolean");
+    namespace fs = std::filesystem;
+    std::size_t specs = 0;
+    for (const auto &entry : fs::directory_iterator(WLCACHE_EXAMPLES_DIR)) {
+        if (entry.path().extension() != ".json")
+            continue;
+        const std::string name = entry.path().filename().string();
+        SCOPED_TRACE(name);
+        std::ifstream in(entry.path(), std::ios::binary);
+        std::ostringstream text;
+        text << in.rdbuf();
+        std::string err;
 
-    // ...and turns triage rungs into event-budget runs of the
-    // full-scale trace whose cuts the final rung extends.
-    SweepSpec sweep = referenceSweep(SearchMode::Halving);
-    sweep.snapshot_extend = true;
-    ExploreReport rep;
-    ASSERT_TRUE(runSweep(sweep, rep));
-
-    ASSERT_EQ(rep.rungs.size(), 2u);
-    EXPECT_GT(rep.rungs[0].budget_events, 0u);   // budgeted triage
-    EXPECT_EQ(rep.rungs[1].budget_events, 0u);   // full final rung
-
-    // Every survivor's result must be the exact full-scale record a
-    // cold run produces: extending a cut snapshot is observationally
-    // identical to simulating from cycle 0.
-    ASSERT_FALSE(rep.outcomes.empty());
-    for (const auto &o : rep.outcomes) {
-        const nvp::RunResult cold = nvp::runExperiment(o.point.spec);
-        std::ostringstream a, b;
-        nvp::writeRunResultJson(a, o.result);
-        nvp::writeRunResultJson(b, cold);
-        EXPECT_EQ(a.str(), b.str()) << o.point.id;
-        EXPECT_EQ(o.run_key, runner::specKey(o.point.spec));
+        SweepSpec sweep;
+        if (name.rfind("fleet_", 0) == 0) {
+            fleet::FleetSpec spec;
+            ASSERT_TRUE(fleet::parseFleetSpec(text.str(), spec, &err))
+                << err;
+            for (const auto &obj : spec.objectives)
+                EXPECT_NE(fleet::findFleetObjective(obj), nullptr) << obj;
+            sweep = spec.sweep;
+        } else {
+            ASSERT_TRUE(parseSweepSpec(text.str(), sweep, &err)) << err;
+        }
+        for (const auto &obj : sweep.objectives)
+            EXPECT_NE(findObjective(obj), nullptr) << obj;
+        std::vector<DesignPoint> points;
+        EXPECT_TRUE(expandPoints(sweep, points, &err)) << err;
+        EXPECT_FALSE(points.empty());
+        ++specs;
     }
+    // Guard against a wrong directory passing vacuously.
+    EXPECT_GE(specs, 6u);
 }

@@ -105,13 +105,6 @@ TEST(SpecKey, StableAndSensitive)
     EXPECT_NE(key, specKey(other));
 }
 
-TEST(SpecKey, PartialKeyNeverAliasesFullKey)
-{
-    nvp::ExperimentSpec spec;
-    EXPECT_NE(partialKey(spec, 1000), specKey(spec));
-    EXPECT_NE(partialKey(spec, 1000), partialKey(spec, 2000));
-}
-
 TEST(JobSet, StableIdsAndIndices)
 {
     JobSet set;

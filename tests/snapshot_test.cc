@@ -187,12 +187,6 @@ TEST(SnapshotStore, RoundTripAndCorruptionAsMiss)
     s.cycle = 10;
     s.event_index = 1;
     s.state = { 5, 6 };
-    store.store("aa", s);
-    nvp::SystemSnapshot got;
-    ASSERT_TRUE(store.load("aa", got));
-    EXPECT_EQ(got.cycle, 10u);
-    EXPECT_FALSE(store.load("missing", got));
-
     nvp::SnapshotSet set;
     set.interval = 64;
     set.snaps = { s, s };
@@ -202,17 +196,142 @@ TEST(SnapshotStore, RoundTripAndCorruptionAsMiss)
     EXPECT_EQ(gotset.interval, 64u);
     ASSERT_EQ(gotset.snaps.size(), 2u);
     EXPECT_EQ(gotset.snaps[1].state, s.state);
+    EXPECT_FALSE(store.loadSet("missing", gotset));
 
     // A corrupted entry reads as a miss and is removed.
     {
-        std::ofstream trash(store.entryPath("aa"),
+        std::ofstream trash(store.setPath("bb"),
                             std::ios::binary | std::ios::trunc);
-        trash << "not a snapshot";
+        trash << "not a snapshot set";
     }
-    EXPECT_FALSE(store.load("aa", got));
-    EXPECT_FALSE(std::filesystem::exists(store.entryPath("aa")));
+    EXPECT_FALSE(store.loadSet("bb", gotset));
+    EXPECT_FALSE(std::filesystem::exists(store.setPath("bb")));
 
     std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotStore, HugeSetCountReadsAsMiss)
+{
+    // A 24-byte header (magic, version, interval, count) whose entry
+    // count no file of this size can hold: the count must be checked
+    // before it sizes an allocation.
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / "wlc_snapstore_count")
+            .string();
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const runner::SnapshotStore store(dir);
+
+    for (const std::uint64_t count :
+         { ~std::uint64_t{ 0 }, std::uint64_t{ 1 } << 32 }) {
+        SCOPED_TRACE(count);
+        SnapshotWriter w;
+        w.u32(0x53534c57u);   // "WLSS"
+        w.u32(1);             // set version
+        w.u64(1000);          // interval
+        w.u64(count);
+        ASSERT_EQ(w.data().size(), 24u);
+        {
+            std::ofstream f(store.setPath("huge"),
+                            std::ios::binary | std::ios::trunc);
+            f.write(reinterpret_cast<const char *>(w.data().data()),
+                    static_cast<std::streamsize>(w.data().size()));
+        }
+        nvp::SnapshotSet got;
+        EXPECT_FALSE(store.loadSet("huge", got));
+        EXPECT_FALSE(std::filesystem::exists(store.setPath("huge")));
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotStore, MutatedBlobsMissOrDecodeCleanly)
+{
+    // A real ladder from a short run: two snapshots of sha with
+    // small caches under infinite power.
+    nvp::ExperimentSpec spec;
+    spec.workload = "sha";
+    spec.no_failure = true;
+    spec.tweak = [](nvp::SystemConfig &cfg) {
+        cfg.dcache.size_bytes = 256;
+        cfg.icache.size_bytes = 256;
+    };
+    const nvp::RunResult cold = nvp::runExperiment(spec);
+    nvp::SnapshotSet set;
+    set.interval = cold.on_cycles / 3 + 1;
+    nvp::RunOptions ro;
+    ro.snapshot_interval = set.interval;
+    ro.snapshot_sink = [&set](nvp::SystemSnapshot &&s) {
+        set.snaps.push_back(std::move(s));
+    };
+    nvp::runExperimentEx(spec, ro);
+    ASSERT_EQ(set.snaps.size(), 2u);
+
+    const std::vector<std::uint8_t> blob =
+        nvp::encodeSnapshot(set.snaps[1]);
+    const std::vector<std::uint8_t> file = nvp::encodeSnapshotSet(set);
+
+    // Each mutation must miss or decode; a decode must re-encode to
+    // exactly the bytes it came from.
+    std::size_t cases = 0, decoded = 0;
+    auto trySnap = [&](const std::vector<std::uint8_t> &bytes) {
+        nvp::SystemSnapshot out;
+        if (nvp::decodeSnapshot(bytes, out)) {
+            EXPECT_EQ(nvp::encodeSnapshot(out), bytes);
+            ++decoded;
+        }
+        ++cases;
+    };
+    auto trySet = [&](const std::vector<std::uint8_t> &bytes) {
+        nvp::SnapshotSet out;
+        if (nvp::decodeSnapshotSet(bytes, out)) {
+            EXPECT_EQ(nvp::encodeSnapshotSet(out), bytes);
+            ++decoded;
+        }
+        ++cases;
+    };
+
+    // Truncation at every prefix length: always a miss.
+    for (std::size_t n = 0; n < blob.size(); ++n) {
+        nvp::SystemSnapshot out;
+        EXPECT_FALSE(nvp::decodeSnapshot(
+            { blob.begin(), blob.begin() + n }, out)) << n;
+    }
+    for (std::size_t n = 0; n < file.size(); ++n) {
+        nvp::SnapshotSet out;
+        EXPECT_FALSE(nvp::decodeSnapshotSet(
+            { file.begin(), file.begin() + n }, out)) << n;
+    }
+
+    // Every bit, and every whole byte, of every header and length
+    // field. A blob's header runs from its magic through its state
+    // length; a set adds its own 24-byte header and one length per
+    // entry in front of each entry's blob header.
+    auto blobHeader = [](const nvp::SystemSnapshot &snap) {
+        return std::size_t{ 4 + 4 + 8 } + snap.compat_key.size() +
+               8 + 8 + 8;
+    };
+    auto flip = [](const std::vector<std::uint8_t> &src,
+                   std::size_t from, std::size_t to, auto &&check) {
+        for (std::size_t i = from; i < to; ++i)
+            for (const unsigned mask :
+                 { 0x01u, 0x02u, 0x04u, 0x08u, 0x10u, 0x20u, 0x40u,
+                   0x80u, 0xffu }) {
+                auto m = src;
+                m[i] ^= static_cast<std::uint8_t>(mask);
+                check(m);
+            }
+    };
+    flip(blob, 0, blobHeader(set.snaps[1]), trySnap);
+    flip(file, 0, 24, trySet);
+    std::size_t pos = 24;
+    for (const auto &snap : set.snaps) {
+        flip(file, pos, pos + 8 + blobHeader(snap), trySet);
+        pos += 8 + nvp::encodeSnapshot(snap).size();
+    }
+    ASSERT_EQ(pos, file.size());
+    // Flipping cycle or event-index bits still decodes.
+    EXPECT_GT(decoded, 0u);
+    EXPECT_GT(cases, 2000u);
 }
 
 // --- Resume-equivalence fuzz ---
@@ -392,7 +511,7 @@ TEST(SnapshotResume, WearStateFuzzObservationalIdentity)
 TEST(SnapshotResume, RoundTripsThroughDiskEncoding)
 {
     // Same equivalence, but through encodeSnapshot/decodeSnapshot —
-    // the path campaign ladders and explorer rung cuts take.
+    // the path persisted campaign ladders take.
     const nvp::ExperimentSpec spec = fuzzSpec(kFuzzCases[1]);
     const nvp::RunResult cold = nvp::runExperiment(spec);
 
@@ -412,30 +531,6 @@ TEST(SnapshotResume, RoundTripsThroughDiskEncoding)
     rr.resume = &mid;
     const nvp::RunResult resumed = nvp::runExperimentEx(spec, rr);
     EXPECT_EQ(resultJson(resumed), resultJson(cold));
-}
-
-TEST(SnapshotResume, BudgetCutThenExtendMatchesCold)
-{
-    // Explorer-rung shape: cut at an event budget, then extend the
-    // cut to completion. The extended run must equal the cold run.
-    const nvp::ExperimentSpec spec = fuzzSpec(kFuzzCases[0]);
-    const nvp::RunResult cold = nvp::runExperiment(spec);
-    ASSERT_GT(cold.trace_events, 10u);
-
-    nvp::SystemSnapshot cut;
-    nvp::RunOptions budget;
-    budget.max_events = cold.trace_events / 3;
-    budget.cut = &cut;
-    const nvp::RunResult partial =
-        nvp::runExperimentEx(spec, budget);
-    EXPECT_FALSE(partial.completed);
-    ASSERT_TRUE(cut.valid());
-    EXPECT_EQ(cut.event_index, budget.max_events);
-
-    nvp::RunOptions extend;
-    extend.resume = &cut;
-    const nvp::RunResult full = nvp::runExperimentEx(spec, extend);
-    EXPECT_EQ(resultJson(full), resultJson(cold));
 }
 
 TEST(SnapshotResume, TimelineStampsSnapshotEvents)

@@ -11,8 +11,8 @@
  *                   --cache-dir ~/.wlcache-cache \
  *                   --csv points.csv --report frontier.md
  *
- *   # Same spec, three objectives, budgeted successive halving:
- *   wlcache_explore --spec sweep.json --mode halving \
+ *   # Same spec, three objectives:
+ *   wlcache_explore --spec sweep.json \
  *                   --objective time --objective nvm_writes \
  *                   --objective hw_area
  *
@@ -66,22 +66,16 @@ main(int argc, char **argv)
 {
     util::ArgParser args(
         "wlcache_explore",
-        "declarative design-space exploration with Pareto-frontier "
-        "extraction and budgeted adaptive search");
+        "declarative design-space exploration: evaluate every "
+        "point of a sweep and extract the Pareto frontier");
     args.option("spec", "", "sweep-spec JSON file (required)")
         .listOption("objective",
                     "objective name(s); overrides the spec's list "
                     "(see --list-objectives)")
-        .option("mode", "",
-                "override the spec's search mode: "
-                "exhaustive|halving")
         .option("jobs", "0",
                 "worker threads; 0 = WLCACHE_JOBS env or all cores")
         .option("cache-dir", "",
                 "result-cache directory (empty = no cache)")
-        .option("snapshot-dir", "",
-                "snapshot-store directory for snapshot_extend "
-                "halving rung cuts (empty = in-memory only)")
         .option("csv", "", "write all evaluated points as CSV here")
         .option("report", "",
                 "write the Markdown frontier report here")
@@ -119,15 +113,6 @@ main(int argc, char **argv)
     if (!explore::parseSweepSpec(spec_text, cfg.sweep, &err))
         fatal("%s: %s", spec_path.c_str(), err.c_str());
 
-    const std::string mode = util::toLower(args.get("mode"));
-    if (mode == "exhaustive")
-        cfg.sweep.mode = explore::SearchMode::Exhaustive;
-    else if (mode == "halving")
-        cfg.sweep.mode = explore::SearchMode::Halving;
-    else if (!mode.empty())
-        fatal("unknown --mode '%s' (exhaustive|halving)",
-              mode.c_str());
-
     cfg.objectives = args.getList("objective");
     for (const auto &name : cfg.objectives)
         if (!explore::findObjective(name))
@@ -135,7 +120,6 @@ main(int argc, char **argv)
                   explore::objectiveNameList().c_str());
     cfg.jobs = static_cast<unsigned>(args.getInt("jobs"));
     cfg.cache_dir = args.get("cache-dir");
-    cfg.snapshot_dir = args.get("snapshot-dir");
     cfg.progress = args.getFlag("progress");
 
     explore::ExploreReport report;

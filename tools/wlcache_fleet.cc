@@ -66,8 +66,6 @@ main(int argc, char **argv)
                 "worker threads; 0 = WLCACHE_JOBS env or all cores")
         .option("cache-dir", "",
                 "result-cache directory (empty = no cache)")
-        .option("snapshot-dir", "",
-                "snapshot-store directory (empty = disabled)")
         .option("csv", "", "write every point as CSV here")
         .option("report", "", "write the Markdown fleet report here")
         .flag("progress", "per-job progress lines on stderr")
@@ -100,7 +98,6 @@ main(int argc, char **argv)
 
     cfg.jobs = static_cast<unsigned>(args.getInt("jobs"));
     cfg.cache_dir = args.get("cache-dir");
-    cfg.snapshot_dir = args.get("snapshot-dir");
     cfg.progress = args.getFlag("progress");
 
     fleet::FleetReport report;
