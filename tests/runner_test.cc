@@ -105,6 +105,47 @@ TEST(SpecKey, StableAndSensitive)
     EXPECT_NE(key, specKey(other));
 }
 
+TEST(SpecKey, PinnedForEveryDesignPreset)
+{
+    // The key hashes the resolved preset of each design, so these pin
+    // every design's SystemConfig::forDesign() output byte for byte.
+    // A change here invalidates every cached result: bump
+    // kResultSchemaVersion and regenerate, never edit one by hand.
+    struct Pinned
+    {
+        nvp::DesignKind design;
+        const char *key;
+    };
+    const Pinned pinned[] = {
+        { nvp::DesignKind::NoCache,
+          "68763b86c254dd0b48f8290df44ae566" },
+        { nvp::DesignKind::VCacheWT,
+          "6bc798f5ab91f6c9ed98398015f08b0e" },
+        { nvp::DesignKind::NVCacheWB,
+          "b0b787d96f4fc8e782d8f7796f5ba9a1" },
+        { nvp::DesignKind::NvsramWB,
+          "cf61b9f0ee885755781491d92a69e795" },
+        { nvp::DesignKind::NvsramFull,
+          "8f03995955c3ff3e132ab1bd005ecc4e" },
+        { nvp::DesignKind::NvsramPractical,
+          "0164c2826e7b40247135ebb030ff54a7" },
+        { nvp::DesignKind::Replay,
+          "493c8b66166b1810c1b01720f472020f" },
+        { nvp::DesignKind::WtBuffered,
+          "fddf8fd2cce0a6da7a893988a760b093" },
+        { nvp::DesignKind::WL,
+          "c6144b353aa3aa68803d48975933f8f0" },
+        { nvp::DesignKind::WLLog,
+          "3afa73c4e9656f300e40417b05f25fb2" },
+    };
+    for (const Pinned &p : pinned) {
+        nvp::ExperimentSpec spec;
+        spec.design = p.design;
+        EXPECT_EQ(specKey(spec), p.key)
+            << nvp::designKindName(p.design);
+    }
+}
+
 TEST(JobSet, StableIdsAndIndices)
 {
     JobSet set;

@@ -51,6 +51,10 @@ combos()
         { nvp::DesignKind::Replay, "sha" },
         { nvp::DesignKind::WLLog, "sha" },
         { nvp::DesignKind::WLLog, "qsort" },
+        { nvp::DesignKind::NoCache, "sha" },
+        { nvp::DesignKind::NvsramFull, "sha" },
+        { nvp::DesignKind::NvsramPractical, "sha" },
+        { nvp::DesignKind::WtBuffered, "sha" },
     };
     return c;
 }
