@@ -36,7 +36,8 @@ enum class ReplPolicy
 const char *replPolicyName(ReplPolicy p);
 
 /**
- * Inverse of replPolicyName(): parse "LRU"/"FIFO".
+ * Inverse of replPolicyName(), case-insensitively, so it also parses
+ * the command-line and sweep-spec names "lru"/"fifo".
  * @return true and set @p out on a match; false on an unknown name.
  */
 bool replPolicyFromName(const std::string &name, ReplPolicy &out);

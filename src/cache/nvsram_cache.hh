@@ -76,8 +76,6 @@ class NvsramCacheWB : public BaseTagCache
 
     const char *designName() const override { return "NVSRAM-WB"; }
 
-    const NvsramParams &nvsramParams() const { return nvsram_; }
-
     void saveState(SnapshotWriter &w) const override;
     void restoreState(SnapshotReader &r) override;
 

@@ -67,8 +67,6 @@ class ReplayCacheModel : public BaseTagCache
     double checkpointEnergyBound() const override { return 0.0; }
     const char *designName() const override { return "ReplayCache"; }
 
-    const ReplayParams &replayParams() const { return replay_; }
-
     /** Outstanding persists (testing). */
     std::size_t persistQueueDepth() const { return inflight_.size(); }
 

@@ -53,12 +53,6 @@ Capacitor::energyAboveVmin() const
 }
 
 double
-Capacitor::energyAboveVoltage(double v) const
-{
-    return std::max(0.0, storedEnergy() - energyForVoltage(v));
-}
-
-double
 Capacitor::addEnergy(double joules)
 {
     wlc_assert(joules >= 0.0);

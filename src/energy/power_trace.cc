@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <istream>
 #include <map>
 #include <mutex>
@@ -190,30 +189,13 @@ PowerTrace::variationCoefficient() const
     return sd / m;
 }
 
-namespace {
-
-/**
- * Shortest-exact double rendering for save(): %.17g survives a
- * strtod round trip bit-for-bit, so save → load → save is
- * byte-identical (the default 6-significant-digit stream precision
- * silently truncated derived traces).
- */
-inline void
-writeExactDouble(std::ostream &os, double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf << '\n';
-}
-
-} // anonymous namespace
-
 void
 PowerTrace::save(std::ostream &os) const
 {
-    writeExactDouble(os, sample_period_s_);
+    // Exact rendering keeps save -> load -> save byte-identical.
+    os << util::fmtExact(sample_period_s_) << '\n';
     for (double w : samples())
-        writeExactDouble(os, w);
+        os << util::fmtExact(w) << '\n';
 }
 
 PowerTrace

@@ -34,19 +34,9 @@ double
 checkpointReserveJ(const nvp::SystemConfig &cfg)
 {
     const auto &p = cfg.platform;
-    double vbackup = p.vbackup;
-    if (nvp::isWlFamily(cfg.design)) {
-        // Mirror SystemSim::wlVbackup at the configured maxline.
-        const unsigned ml = cfg.wl.maxline;
-        vbackup = p.wl_vbackup_base +
-                  p.wl_vbackup_step *
-                      static_cast<double>(ml > p.wl_threshold_anchor
-                                              ? ml -
-                                                    p.wl_threshold_anchor
-                                              : 0);
-        if (vbackup > p.vmax)
-            vbackup = p.vmax;
-    }
+    const double vbackup = nvp::isWlFamily(cfg.design)
+        ? nvp::wlThresholds(p, cfg.wl.maxline).vbackup
+        : p.vbackup;
     if (vbackup < p.vmin)
         return 0.0;
     return 0.5 * p.capacitance_f *

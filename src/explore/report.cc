@@ -1,6 +1,5 @@
 #include "explore/report.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <ostream>
 
@@ -11,9 +10,6 @@
 namespace wlcache {
 namespace explore {
 
-namespace {
-
-/** Deterministic short-form double ("%.9g"). */
 std::string
 fmtObjective(double v)
 {
@@ -22,22 +18,6 @@ fmtObjective(double v)
     return buf;
 }
 
-/** Union of bound parameter names, first-appearance order. */
-std::vector<std::string>
-paramColumns(const ExploreReport &report)
-{
-    std::vector<std::string> cols;
-    for (const auto &o : report.outcomes)
-        for (const auto &[name, value] : o.point.params) {
-            (void)value;
-            if (std::find(cols.begin(), cols.end(), name) ==
-                cols.end())
-                cols.push_back(name);
-        }
-    return cols;
-}
-
-/** Last binding of @p name, or null. */
 const ParamValue *
 findBinding(const DesignPoint &p, const std::string &name)
 {
@@ -47,13 +27,11 @@ findBinding(const DesignPoint &p, const std::string &name)
     return nullptr;
 }
 
-} // anonymous namespace
-
 void
 writeCsv(std::ostream &os, const ExploreReport &report)
 {
     CsvWriter csv(os);
-    const auto cols = paramColumns(report);
+    const auto cols = paramColumns(report.outcomes);
 
     std::vector<std::string> header{ "id" };
     for (const auto &c : cols)
@@ -140,11 +118,8 @@ writeSummaryText(std::ostream &os, const ExploreReport &report)
         const PointOutcome &o = report.outcomes[idx];
         std::vector<std::string> row{ std::to_string(++n),
                                       o.point.id };
-        for (const double v : o.objectives) {
-            char buf[40];
-            std::snprintf(buf, sizeof(buf), "%.9g", v);
-            row.push_back(buf);
-        }
+        for (const double v : o.objectives)
+            row.push_back(fmtObjective(v));
         t.row(row);
     }
     t.print(os);

@@ -13,13 +13,40 @@
 #ifndef WLCACHE_EXPLORE_REPORT_HH
 #define WLCACHE_EXPLORE_REPORT_HH
 
+#include <algorithm>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "explore/explorer.hh"
 
 namespace wlcache {
 namespace explore {
+
+/** Deterministic short-form double ("%.9g") for report cells. */
+std::string fmtObjective(double v);
+
+/** Last binding of @p name in @p p, or null. */
+const ParamValue *findBinding(const DesignPoint &p,
+                              const std::string &name);
+
+/**
+ * Union of the parameter names bound by @p outcomes' points (any
+ * range of records with a DesignPoint @c point), first-appearance
+ * order: the swept-parameter columns of a report.
+ */
+template <typename Outcomes>
+std::vector<std::string>
+paramColumns(const Outcomes &outcomes)
+{
+    std::vector<std::string> cols;
+    for (const auto &o : outcomes)
+        for (const auto &binding : o.point.params)
+            if (std::find(cols.begin(), cols.end(), binding.first) ==
+                cols.end())
+                cols.push_back(binding.first);
+    return cols;
+}
 
 /**
  * Write every outcome as CSV: point id, one column per swept

@@ -62,17 +62,15 @@ boolValue(bool b)
 
 namespace {
 
+/** ParamDef check: a replacement-policy name. */
 bool
-parseReplShort(const std::string &name, cache::ReplPolicy &out)
+checkReplName(const ParamValue &v, std::string &why)
 {
-    const std::string n = util::toLower(name);
-    if (n == "lru")
-        out = cache::ReplPolicy::LRU;
-    else if (n == "fifo")
-        out = cache::ReplPolicy::FIFO;
-    else
-        return false;
-    return true;
+    cache::ReplPolicy p;
+    if (cache::replPolicyFromName(v.text, p))
+        return true;
+    why = "unknown replacement policy '" + v.text + "' (lru|fifo)";
+    return false;
 }
 
 /**
@@ -216,17 +214,10 @@ paramDefs()
         { "dcache.repl", "L1 D-cache replacement policy: lru|fifo",
           PV::Kind::String, false, 0.0, nullptr,
           [](Cfg &c, const PV &v) {
-              const bool ok = parseReplShort(v.text, c.dcache.repl);
+              const bool ok = cache::replPolicyFromName(v.text, c.dcache.repl);
               wlc_assert(ok, "unvalidated policy '%s'", v.text.c_str());
           },
-          [](const PV &v, std::string &why) {
-              cache::ReplPolicy p;
-              if (parseReplShort(v.text, p))
-                  return true;
-              why = "unknown replacement policy '" + v.text +
-                    "' (lru|fifo)";
-              return false;
-          } },
+          checkReplName },
         { "icache.size_bytes", "L1 I-cache size in bytes",
           PV::Kind::Number, true, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
@@ -255,17 +246,10 @@ paramDefs()
         { "wl.dq_repl", "DirtyQueue replacement policy: lru|fifo",
           PV::Kind::String, false, 0.0, nullptr,
           [](Cfg &c, const PV &v) {
-              const bool ok = parseReplShort(v.text, c.wl.dq_repl);
+              const bool ok = cache::replPolicyFromName(v.text, c.wl.dq_repl);
               wlc_assert(ok, "unvalidated policy '%s'", v.text.c_str());
           },
-          [](const PV &v, std::string &why) {
-              cache::ReplPolicy p;
-              if (parseReplShort(v.text, p))
-                  return true;
-              why = "unknown replacement policy '" + v.text +
-                    "' (lru|fifo)";
-              return false;
-          } },
+          checkReplName },
         { "adaptive.enabled", "boot-time adaptive maxline management",
           PV::Kind::Bool, false, 0.0, nullptr,
           [](Cfg &c, const PV &v) { c.adaptive.enabled = v.b; },

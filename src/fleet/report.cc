@@ -1,50 +1,19 @@
 #include "fleet/report.hh"
 
-#include <algorithm>
-#include <cstdio>
 #include <ostream>
 
+#include "explore/report.hh"
 #include "sim/csv.hh"
 #include "util/table.hh"
 
 namespace wlcache {
 namespace fleet {
 
+using explore::findBinding;
+using explore::fmtObjective;
+using explore::paramColumns;
+
 namespace {
-
-/** Deterministic short-form double ("%.9g"). */
-std::string
-fmtObjective(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-/** Union of bound parameter names, first-appearance order. */
-std::vector<std::string>
-paramColumns(const FleetReport &report)
-{
-    std::vector<std::string> cols;
-    for (const auto &o : report.outcomes)
-        for (const auto &[name, value] : o.point.params) {
-            (void)value;
-            if (std::find(cols.begin(), cols.end(), name) ==
-                cols.end())
-                cols.push_back(name);
-        }
-    return cols;
-}
-
-/** Last binding of @p name, or null. */
-const explore::ParamValue *
-findBinding(const explore::DesignPoint &p, const std::string &name)
-{
-    for (auto it = p.params.rbegin(); it != p.params.rend(); ++it)
-        if (it->first == name)
-            return &it->second;
-    return nullptr;
-}
 
 std::string
 pointLabel(const FleetPointOutcome &o)
@@ -58,7 +27,7 @@ void
 writeFleetCsv(std::ostream &os, const FleetReport &report)
 {
     CsvWriter csv(os);
-    const auto cols = paramColumns(report);
+    const auto cols = paramColumns(report.outcomes);
 
     std::vector<std::string> header{ "id" };
     for (const auto &c : cols)

@@ -2,10 +2,10 @@
 
 #include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "util/json.hh"
+#include "util/strings.hh"
 
 namespace wlcache {
 namespace nvp {
@@ -34,13 +34,7 @@ num(double v)
     // cache entry). Clamp non-finite values to 0 — every producer is
     // expected to have guarded its ratios already, this is the last
     // line of defence.
-    if (!std::isfinite(v))
-        v = 0.0;
-    // 17 significant digits: enough for exact double round-trips
-    // through the result cache.
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    return util::fmtExact(std::isfinite(v) ? v : 0.0);
 }
 
 } // anonymous namespace

@@ -4,12 +4,7 @@
 #include <cmath>
 #include <cstring>
 
-#include "cache/no_cache.hh"
-#include "cache/nv_cache.hh"
-#include "cache/nvsram_practical_cache.hh"
 #include "cache/replay_cache.hh"
-#include "cache/vcache_wt.hh"
-#include "cache/wt_buffered_cache.hh"
 #include "core/wl_log_cache.hh"
 #include "cpu/register_file.hh"
 #include "sim/logging.hh"
@@ -66,7 +61,8 @@ SystemSim::SystemSim(const SystemConfig &cfg,
                 // (paper §4: dynamic adaptation raises Vbackup when
                 // the capacitor can afford another line).
                 const unsigned next_ml = wl_->maxline() + 1;
-                const double v_next = wlVbackup(next_ml);
+                const double v_next =
+                    wlThresholds(cfg_.platform, next_ml).vbackup;
                 const double c = cfg_.platform.capacitance_f;
                 const double new_level = 0.5 * c * v_next * v_next;
                 if (cap_.storedEnergy() > new_level + 4.0 * extra_j) {
@@ -86,11 +82,11 @@ SystemSim::SystemSim(const SystemConfig &cfg,
                            static_cast<unsigned>(
                                trace_.initial_image.size()));
 
-    unsigned nvff_bytes = cpu::RegisterFile::sizeBytes();
-    if (isWlFamily(cfg_.design))
-        nvff_bytes += core::AdaptiveRuntime::kNvffBytes;
+    // Registers, plus maxline/waterline for the adaptive runtime.
     nvff_ = std::make_unique<NvffStore>(
-        nvff_bytes, cfg_.platform.nvff_energy_per_byte,
+        cpu::RegisterFile::sizeBytes() +
+            (runtime_ ? core::AdaptiveRuntime::kNvffBytes : 0),
+        cfg_.platform.nvff_energy_per_byte,
         cfg_.platform.nvff_restore_energy_per_byte, &meter_);
 
     leak_watts_ = cfg_.core.leakage_watts + dcache_->leakageWatts() +
@@ -146,80 +142,19 @@ SystemSim::~SystemSim() = default;
 void
 SystemSim::buildCaches()
 {
-    using cache::ICacheKind;
-    switch (cfg_.design) {
-      case DesignKind::NoCache:
-        dcache_ = std::make_unique<cache::NoCache>(*nvm_, &meter_);
-        icache_ = std::make_unique<cache::InstrCache>(
-            cfg_.icache, ICacheKind::None, *nvm_, &meter_);
-        break;
-      case DesignKind::VCacheWT:
-        dcache_ = std::make_unique<cache::VCacheWT>(cfg_.dcache, *nvm_,
-                                                    &meter_);
-        icache_ = std::make_unique<cache::InstrCache>(
-            cfg_.icache, ICacheKind::Volatile, *nvm_, &meter_);
-        break;
-      case DesignKind::NVCacheWB:
-        dcache_ = std::make_unique<cache::NVCacheWB>(cfg_.dcache, *nvm_,
-                                                     &meter_);
-        icache_ = std::make_unique<cache::InstrCache>(
-            cfg_.icache, ICacheKind::NonVolatile, *nvm_, &meter_);
-        break;
-      case DesignKind::NvsramWB:
-        dcache_ = std::make_unique<cache::NvsramCacheWB>(
-            cfg_.dcache, cfg_.nvsram, *nvm_, &meter_);
-        icache_ = std::make_unique<cache::InstrCache>(
-            cfg_.icache, ICacheKind::WarmRestore, *nvm_, &meter_,
-            cfg_.nvsram.restore_line_energy,
-            cfg_.nvsram.restore_line_latency);
-        break;
-      case DesignKind::NvsramFull: {
-        cache::NvsramParams full = cfg_.nvsram;
-        full.backup_full = true;
-        dcache_ = std::make_unique<cache::NvsramCacheWB>(
-            cfg_.dcache, full, *nvm_, &meter_);
-        icache_ = std::make_unique<cache::InstrCache>(
-            cfg_.icache, ICacheKind::WarmRestore, *nvm_, &meter_,
-            cfg_.nvsram.restore_line_energy,
-            cfg_.nvsram.restore_line_latency);
-        break;
-      }
-      case DesignKind::NvsramPractical:
-        dcache_ = std::make_unique<cache::NvsramPracticalCache>(
-            cfg_.dcache, cache::nvCacheParams(),
-            cfg_.nvsram_practical, *nvm_, &meter_);
-        icache_ = std::make_unique<cache::InstrCache>(
-            cfg_.icache, ICacheKind::Volatile, *nvm_, &meter_);
-        break;
-      case DesignKind::WtBuffered:
-        dcache_ = std::make_unique<cache::WtBufferedCache>(
-            cfg_.dcache, cfg_.wt_buffer, *nvm_, &meter_);
-        icache_ = std::make_unique<cache::InstrCache>(
-            cfg_.icache, ICacheKind::Volatile, *nvm_, &meter_);
-        break;
-      case DesignKind::Replay: {
-        auto rc = std::make_unique<cache::ReplayCacheModel>(
-            cfg_.dcache, cfg_.replay, *nvm_, &meter_);
-        replay_ = rc.get();
-        dcache_ = std::move(rc);
-        icache_ = std::make_unique<cache::InstrCache>(
-            cfg_.icache, ICacheKind::Volatile, *nvm_, &meter_);
-        break;
-      }
-      case DesignKind::WL: {
-        auto wl = std::make_unique<core::WLCache>(cfg_.dcache, cfg_.wl,
-                                                  *nvm_, &meter_);
-        wl_ = wl.get();
-        dcache_ = std::move(wl);
-        icache_ = std::make_unique<cache::InstrCache>(
-            cfg_.icache, ICacheKind::Volatile, *nvm_, &meter_);
-        break;
-      }
-      case DesignKind::WLLog: {
-        auto wl = std::make_unique<core::WlLogCache>(
-            cfg_.dcache, cfg_.wl, cfg_.log, *nvm_, &meter_);
-        wllog_ = wl.get();
-        wl_ = wl.get();
+    const DesignRow &row = designRow(cfg_.design);
+    dcache_ = row.make_dcache(cfg_, *nvm_, &meter_);
+    icache_ = std::make_unique<cache::InstrCache>(
+        cfg_.icache, row.icache, *nvm_, &meter_,
+        cfg_.nvsram.restore_line_energy,
+        cfg_.nvsram.restore_line_latency);
+
+    // Typed views for the design-specific run-loop hooks.
+    wl_ = dynamic_cast<core::WLCache *>(dcache_.get());
+    wllog_ = dynamic_cast<core::WlLogCache *>(dcache_.get());
+    replay_ = dynamic_cast<cache::ReplayCacheModel *>(dcache_.get());
+
+    if (wllog_) {
         // The journal region is carved from the top of NVM: the
         // workload image must fit entirely below it.
         const Addr region_start = wllog_->journal().regionStart();
@@ -235,57 +170,25 @@ SystemSim::buildCaches()
                   static_cast<unsigned long long>(trace_.image_base +
                                                   image_size));
         }
-        dcache_ = std::move(wl);
-        icache_ = std::make_unique<cache::InstrCache>(
-            cfg_.icache, ICacheKind::Volatile, *nvm_, &meter_);
-        break;
-      }
     }
 }
 
 double
 SystemSim::reserveNeededJ() const
 {
-    unsigned nvff_bytes = cpu::RegisterFile::sizeBytes();
-    if (isWlFamily(cfg_.design))
-        nvff_bytes += core::AdaptiveRuntime::kNvffBytes;
     return dcache_->checkpointEnergyBound() +
-        nvff_bytes * cfg_.platform.nvff_energy_per_byte;
-}
-
-double
-SystemSim::wlVbackup(unsigned maxline) const
-{
-    const auto &p = cfg_.platform;
-    const double v = p.wl_vbackup_base +
-        p.wl_vbackup_step *
-            static_cast<double>(maxline > p.wl_threshold_anchor
-                                    ? maxline - p.wl_threshold_anchor
-                                    : 0);
-    return std::min(v, p.vmax);
-}
-
-double
-SystemSim::wlVon(unsigned maxline) const
-{
-    const auto &p = cfg_.platform;
-    const double v = p.wl_von_base +
-        p.wl_von_step *
-            static_cast<double>(maxline > p.wl_threshold_anchor
-                                    ? maxline - p.wl_threshold_anchor
-                                    : 0);
-    return std::min(v, p.vmax);
+        nvff_->capacity() * cfg_.platform.nvff_energy_per_byte;
 }
 
 void
 SystemSim::recomputeThresholds()
 {
-    if (isWlFamily(cfg_.design)) {
-        vbackup_now_ = wlVbackup(wl_->maxline());
-        von_now_ = wlVon(wl_->maxline());
-    } else if (cfg_.design == DesignKind::NvsramWB ||
-               cfg_.design == DesignKind::NvsramFull ||
-               cfg_.design == DesignKind::NvsramPractical) {
+    von_now_ = cfg_.platform.von;
+    switch (designRow(cfg_.design).thresholds) {
+      case ThresholdRule::Static:
+        vbackup_now_ = cfg_.platform.vbackup;
+        break;
+      case ThresholdRule::WorstCaseBackup:
         // NVSRAM sizes its threshold for the worst-case all-dirty
         // backup (paper §2.3.3): at the default 8 KB / 1 uF this
         // lands on Table 2's 3.1 V, and it scales with the array.
@@ -294,10 +197,13 @@ SystemSim::recomputeThresholds()
             std::max(2.85, cap_.voltageForEnergyAbove(
                                cfg_.platform.vmin,
                                1.25 * reserveNeededJ())));
-        von_now_ = cfg_.platform.von;
-    } else {
-        vbackup_now_ = cfg_.platform.vbackup;
-        von_now_ = cfg_.platform.von;
+        break;
+      case ThresholdRule::WlSchedule: {
+        const Thresholds t = wlThresholds(cfg_.platform, wl_->maxline());
+        vbackup_now_ = t.vbackup;
+        von_now_ = t.von;
+        break;
+      }
     }
     const double c = cfg_.platform.capacitance_f;
     backup_energy_level_ = 0.5 * c * vbackup_now_ * vbackup_now_;
@@ -460,7 +366,7 @@ SystemSim::powerFail()
     if (!cfg_.inject_register_skip)
         ckpt_done += nvff_->checkpoint(
             regs.data(), cpu::RegisterFile::sizeBytes());
-    if (isWlFamily(cfg_.design) && runtime_) {
+    if (runtime_) {
         const std::uint8_t thresholds[2] = {
             static_cast<std::uint8_t>(wl_->maxline()),
             static_cast<std::uint8_t>(wl_->waterline()),
@@ -505,7 +411,7 @@ SystemSim::powerFail()
     // The adaptive runtime decides the next interval's thresholds
     // from the NVFF-resident watchdog history before the system
     // sleeps, so the comparator charges toward the right Von (§4).
-    if (isWlFamily(cfg_.design) && runtime_) {
+    if (runtime_) {
         const unsigned before = wl_->maxline();
         const unsigned m = runtime_->onBoot(t_on);
         if (m != before)

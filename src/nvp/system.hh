@@ -219,9 +219,6 @@ class SystemSim
      */
     void restoreSnapshot(const SystemSnapshot &snap);
 
-    /** Resume-compatibility key of this configuration + trace. */
-    const std::string &snapshotKey() const { return snapshot_key_; }
-
     /** Access the data cache (tests). */
     cache::DataCache &dcache() { return *dcache_; }
 
@@ -230,9 +227,6 @@ class SystemSim
 
     /** Access the WL cache when the design is WL-family (else null). */
     core::WLCache *wlCache() { return wl_; }
-
-    /** Access the WL-Log cache when the design is WLLog (else null). */
-    core::WlLogCache *wlLogCache() { return wllog_; }
 
     /** The backing NVM (tests). */
     mem::NvmMemory &nvm() { return *nvm_; }
@@ -246,8 +240,6 @@ class SystemSim
   private:
     void buildCaches();
     double reserveNeededJ() const;
-    double wlVbackup(unsigned maxline) const;
-    double wlVon(unsigned maxline) const;
     void recomputeThresholds();
     void drawConsumedEnergy();
     void accountPassage(Cycle from, Cycle to);

@@ -1,6 +1,5 @@
 #include "nvp/system_config.hh"
 
-#include <cstdio>
 #include <ostream>
 
 #include "sim/logging.hh"
@@ -8,110 +7,6 @@
 
 namespace wlcache {
 namespace nvp {
-
-const char *
-designKindName(DesignKind kind)
-{
-    switch (kind) {
-      case DesignKind::NoCache:   return "NVP-NoCache";
-      case DesignKind::VCacheWT:  return "VCache-WT";
-      case DesignKind::NVCacheWB: return "NVCache-WB";
-      case DesignKind::NvsramWB:  return "NVSRAM-WB";
-      case DesignKind::NvsramFull: return "NVSRAM-full";
-      case DesignKind::NvsramPractical: return "NVSRAM-practical";
-      case DesignKind::Replay:    return "ReplayCache";
-      case DesignKind::WtBuffered: return "WT+Buffer";
-      case DesignKind::WL:        return "WL-Cache";
-      case DesignKind::WLLog:     return "WL-Log";
-    }
-    panic("unknown DesignKind %d", static_cast<int>(kind));
-}
-
-namespace {
-
-constexpr DesignKind kAllDesignKinds[] = {
-    DesignKind::NoCache,         DesignKind::VCacheWT,
-    DesignKind::NVCacheWB,       DesignKind::NvsramWB,
-    DesignKind::NvsramFull,      DesignKind::NvsramPractical,
-    DesignKind::Replay,          DesignKind::WtBuffered,
-    DesignKind::WL,              DesignKind::WLLog,
-};
-
-} // anonymous namespace
-
-bool
-designKindFromName(const std::string &name, DesignKind &out)
-{
-    for (const DesignKind k : kAllDesignKinds) {
-        if (name == designKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-std::string
-designKindNameList()
-{
-    std::string list;
-    for (const DesignKind k : kAllDesignKinds) {
-        if (!list.empty())
-            list += ", ";
-        list += designKindName(k);
-    }
-    return list;
-}
-
-namespace {
-
-/** Short command-line names: the primary one first, then aliases. */
-struct DesignCliName
-{
-    DesignKind kind;
-    const char *name;
-    const char *alias;
-};
-
-constexpr DesignCliName kDesignCliNames[] = {
-    { DesignKind::NoCache,         "nocache",          nullptr },
-    { DesignKind::VCacheWT,        "wt",               "vcache-wt" },
-    { DesignKind::WtBuffered,      "wtbuf",            "wt-buffer" },
-    { DesignKind::NVCacheWB,       "nvcache",          "nvc" },
-    { DesignKind::NvsramWB,        "nvsram",           nullptr },
-    { DesignKind::NvsramFull,      "nvsram-full",      nullptr },
-    { DesignKind::NvsramPractical, "nvsram-practical", "nvsram-prac" },
-    { DesignKind::Replay,          "replay",           nullptr },
-    { DesignKind::WL,              "wl",               nullptr },
-    { DesignKind::WLLog,           "wllog",            "wl-log" },
-};
-
-} // anonymous namespace
-
-bool
-designKindFromCliName(const std::string &name, DesignKind &out)
-{
-    const std::string n = util::toLower(name);
-    for (const DesignCliName &d : kDesignCliNames) {
-        if (n == d.name || (d.alias && n == d.alias)) {
-            out = d.kind;
-            return true;
-        }
-    }
-    return false;
-}
-
-std::string
-designKindCliNameList()
-{
-    std::string list;
-    for (const DesignCliName &d : kDesignCliNames) {
-        if (!list.empty())
-            list += '|';
-        list += d.name;
-    }
-    return list;
-}
 
 const char *
 stepModeName(StepMode mode)
@@ -135,86 +30,10 @@ stepModeFromName(const std::string &name, StepMode &out)
     return false;
 }
 
-SystemConfig
-SystemConfig::forDesign(DesignKind kind)
-{
-    SystemConfig cfg;
-    cfg.design = kind;
-    cfg.dcache = cache::sramCacheParams();
-    cfg.icache = cache::sramCacheParams();
-    // The paper's FIFO I-side replacement matters little; keep LRU
-    // defaults on both and let experiments override.
-
-    switch (kind) {
-      case DesignKind::NoCache:
-        cfg.platform.von = 3.3;
-        cfg.platform.vbackup = 2.9;
-        break;
-      case DesignKind::VCacheWT:
-        cfg.platform.von = 3.3;
-        cfg.platform.vbackup = 2.9;
-        break;
-      case DesignKind::NVCacheWB:
-        cfg.dcache = cache::nvCacheParams();
-        cfg.icache = cache::nvCacheParams();
-        cfg.platform.von = 3.3;
-        cfg.platform.vbackup = 2.9;
-        break;
-      case DesignKind::NvsramWB:
-        // Table 2: NVSRAM checkpoints at 3.1 V and restores at 3.5 V
-        // (the full-cache backup needs the largest margins).
-        cfg.platform.von = 3.5;
-        cfg.platform.vbackup = 3.1;
-        break;
-      case DesignKind::NvsramFull:
-        cfg.nvsram.backup_full = true;
-        cfg.platform.von = 3.5;
-        cfg.platform.vbackup = 3.1;
-        break;
-      case DesignKind::NvsramPractical:
-        // Table 1: medium hardware cost and a medium energy buffer —
-        // only the SRAM half needs migration headroom.
-        cfg.platform.von = 3.4;
-        cfg.platform.vbackup = 3.0;
-        break;
-      case DesignKind::Replay:
-        cfg.platform.von = 3.3;
-        cfg.platform.vbackup = 2.9;
-        break;
-      case DesignKind::WtBuffered:
-        // §3.3 alternative: needs a bigger margin than plain WT to
-        // drain the buffer failure-atomically.
-        cfg.platform.von = 3.3;
-        cfg.platform.vbackup = 2.95;
-        break;
-      case DesignKind::WL:
-      case DesignKind::WLLog:
-        // Table 2: WL 2.95~3.1 / 3.3~3.5, tracked per maxline via
-        // the wl_* threshold schedule. WL-Log keeps the same platform
-        // preset: its checkpoint appends cost slightly more per line
-        // (header bytes), which the threshold schedule absorbs via
-        // the design's own checkpointEnergyBound().
-        cfg.platform.von = 3.3;
-        cfg.platform.vbackup = 2.95;
-        cfg.adaptive.enabled = true;
-        // Paper §6.6: observed maxline range 2..6 with |DQ| = 8.
-        cfg.adaptive.maxline_min = 2;
-        cfg.adaptive.maxline_max = cfg.wl.dq_size - 2;
-        break;
-    }
-    return cfg;
-}
-
 namespace {
 
-/** Full-precision double rendering so equal keys mean equal bits. */
-std::string
-keyNum(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
+// Doubles render exactly, so equal keys mean equal bits.
+using util::fmtExact;
 
 void
 dumpCacheParams(std::ostream &os, const char *prefix,
@@ -230,17 +49,17 @@ dumpCacheParams(std::ostream &os, const char *prefix,
        << prefix << ".miss_lookup_latency=" << p.miss_lookup_latency
        << '\n'
        << prefix << ".access_energy_read="
-       << keyNum(p.access_energy_read) << '\n'
+       << fmtExact(p.access_energy_read) << '\n'
        << prefix << ".access_energy_write="
-       << keyNum(p.access_energy_write) << '\n'
-       << prefix << ".line_fill_energy=" << keyNum(p.line_fill_energy)
+       << fmtExact(p.access_energy_write) << '\n'
+       << prefix << ".line_fill_energy=" << fmtExact(p.line_fill_energy)
        << '\n'
-       << prefix << ".line_read_energy=" << keyNum(p.line_read_energy)
+       << prefix << ".line_read_energy=" << fmtExact(p.line_read_energy)
        << '\n'
-       << prefix << ".leakage_watts=" << keyNum(p.leakage_watts)
+       << prefix << ".leakage_watts=" << fmtExact(p.leakage_watts)
        << '\n'
        << prefix << ".lru_update_energy="
-       << keyNum(p.lru_update_energy) << '\n';
+       << fmtExact(p.lru_update_energy) << '\n';
 }
 
 } // anonymous namespace
@@ -255,16 +74,16 @@ dumpConfigKey(std::ostream &os, const SystemConfig &cfg)
 
     os << "nvsram.backup_full=" << cfg.nvsram.backup_full << '\n'
        << "nvsram.backup_line_energy="
-       << keyNum(cfg.nvsram.backup_line_energy) << '\n'
+       << fmtExact(cfg.nvsram.backup_line_energy) << '\n'
        << "nvsram.restore_line_energy="
-       << keyNum(cfg.nvsram.restore_line_energy) << '\n'
+       << fmtExact(cfg.nvsram.restore_line_energy) << '\n'
        << "nvsram.backup_line_latency="
        << cfg.nvsram.backup_line_latency << '\n'
        << "nvsram.restore_line_latency="
        << cfg.nvsram.restore_line_latency << '\n';
 
     os << "nvsram_practical.migrate_line_energy="
-       << keyNum(cfg.nvsram_practical.migrate_line_energy) << '\n'
+       << fmtExact(cfg.nvsram_practical.migrate_line_energy) << '\n'
        << "nvsram_practical.migrate_line_latency="
        << cfg.nvsram_practical.migrate_line_latency << '\n';
 
@@ -278,32 +97,32 @@ dumpConfigKey(std::ostream &os, const SystemConfig &cfg)
        << "wt_buffer.cam_search_latency="
        << cfg.wt_buffer.cam_search_latency << '\n'
        << "wt_buffer.cam_search_energy="
-       << keyNum(cfg.wt_buffer.cam_search_energy) << '\n'
+       << fmtExact(cfg.wt_buffer.cam_search_energy) << '\n'
        << "wt_buffer.buffer_leakage_watts="
-       << keyNum(cfg.wt_buffer.buffer_leakage_watts) << '\n';
+       << fmtExact(cfg.wt_buffer.buffer_leakage_watts) << '\n';
 
     os << "wl.dq_size=" << cfg.wl.dq_size << '\n'
        << "wl.maxline=" << cfg.wl.maxline << '\n'
        << "wl.waterline_gap=" << cfg.wl.waterline_gap << '\n'
        << "wl.dq_repl=" << cache::replPolicyName(cfg.wl.dq_repl)
        << '\n'
-       << "wl.dq_access_energy=" << keyNum(cfg.wl.dq_access_energy)
+       << "wl.dq_access_energy=" << fmtExact(cfg.wl.dq_access_energy)
        << '\n'
-       << "wl.dq_leakage_watts=" << keyNum(cfg.wl.dq_leakage_watts)
+       << "wl.dq_leakage_watts=" << fmtExact(cfg.wl.dq_leakage_watts)
        << '\n'
        << "wl.dq_lru_search_energy="
-       << keyNum(cfg.wl.dq_lru_search_energy) << '\n'
+       << fmtExact(cfg.wl.dq_lru_search_energy) << '\n'
        << "wl.eager_evict_cleanup=" << cfg.wl.eager_evict_cleanup
        << '\n'
        << "wl.dq_cam_search_energy="
-       << keyNum(cfg.wl.dq_cam_search_energy) << '\n';
+       << fmtExact(cfg.wl.dq_cam_search_energy) << '\n';
 
     os << "adaptive.enabled=" << cfg.adaptive.enabled << '\n'
-       << "adaptive.delta=" << keyNum(cfg.adaptive.delta) << '\n'
+       << "adaptive.delta=" << fmtExact(cfg.adaptive.delta) << '\n'
        << "adaptive.maxline_min=" << cfg.adaptive.maxline_min << '\n'
        << "adaptive.maxline_max=" << cfg.adaptive.maxline_max << '\n'
        << "adaptive.timer_resolution_s="
-       << keyNum(cfg.adaptive.timer_resolution_s) << '\n'
+       << fmtExact(cfg.adaptive.timer_resolution_s) << '\n'
        << "wl_dynamic=" << cfg.wl_dynamic << '\n';
 
     os << "nvm.size_bytes=" << cfg.nvm.size_bytes << '\n'
@@ -314,10 +133,10 @@ dumpConfigKey(std::ostream &os, const SystemConfig &cfg)
        << "nvm.t_wr=" << cfg.nvm.t_wr << '\n'
        << "nvm.t_wtr=" << cfg.nvm.t_wtr << '\n'
        << "nvm.read_energy_per_byte="
-       << keyNum(cfg.nvm.read_energy_per_byte) << '\n'
+       << fmtExact(cfg.nvm.read_energy_per_byte) << '\n'
        << "nvm.write_energy_per_byte="
-       << keyNum(cfg.nvm.write_energy_per_byte) << '\n'
-       << "nvm.activate_energy=" << keyNum(cfg.nvm.activate_energy)
+       << fmtExact(cfg.nvm.write_energy_per_byte) << '\n'
+       << "nvm.activate_energy=" << fmtExact(cfg.nvm.activate_energy)
        << '\n'
        << "nvm.model=" << mem::nvmModelName(cfg.nvm.model) << '\n'
        << "nvm.queue_depth=" << cfg.nvm.queue_depth << '\n'
@@ -337,40 +156,40 @@ dumpConfigKey(std::ostream &os, const SystemConfig &cfg)
        << "nvm.hybrid_access_latency=" << cfg.nvm.hybrid_access_latency
        << '\n'
        << "nvm.hybrid_read_energy_per_byte="
-       << keyNum(cfg.nvm.hybrid_read_energy_per_byte) << '\n'
+       << fmtExact(cfg.nvm.hybrid_read_energy_per_byte) << '\n'
        << "nvm.hybrid_write_energy_per_byte="
-       << keyNum(cfg.nvm.hybrid_write_energy_per_byte) << '\n';
+       << fmtExact(cfg.nvm.hybrid_write_energy_per_byte) << '\n';
 
     os << "log.region_lines=" << cfg.log.region_lines << '\n'
        << "log.segment_bytes=" << cfg.log.segment_bytes << '\n'
        << "log.compaction_watermark="
-       << keyNum(cfg.log.compaction_watermark) << '\n';
+       << fmtExact(cfg.log.compaction_watermark) << '\n';
 
     os << "core.compute_energy_per_insn="
-       << keyNum(cfg.core.compute_energy_per_insn) << '\n'
-       << "core.leakage_watts=" << keyNum(cfg.core.leakage_watts)
+       << fmtExact(cfg.core.compute_energy_per_insn) << '\n'
+       << "core.leakage_watts=" << fmtExact(cfg.core.leakage_watts)
        << '\n';
 
     const PlatformParams &pf = cfg.platform;
-    os << "platform.capacitance_f=" << keyNum(pf.capacitance_f) << '\n'
-       << "platform.vmin=" << keyNum(pf.vmin) << '\n'
-       << "platform.vmax=" << keyNum(pf.vmax) << '\n'
-       << "platform.von=" << keyNum(pf.von) << '\n'
-       << "platform.vbackup=" << keyNum(pf.vbackup) << '\n'
+    os << "platform.capacitance_f=" << fmtExact(pf.capacitance_f) << '\n'
+       << "platform.vmin=" << fmtExact(pf.vmin) << '\n'
+       << "platform.vmax=" << fmtExact(pf.vmax) << '\n'
+       << "platform.von=" << fmtExact(pf.von) << '\n'
+       << "platform.vbackup=" << fmtExact(pf.vbackup) << '\n'
        << "platform.harvest_efficiency="
-       << keyNum(pf.harvest_efficiency) << '\n'
-       << "platform.wl_vbackup_base=" << keyNum(pf.wl_vbackup_base)
+       << fmtExact(pf.harvest_efficiency) << '\n'
+       << "platform.wl_vbackup_base=" << fmtExact(pf.wl_vbackup_base)
        << '\n'
-       << "platform.wl_vbackup_step=" << keyNum(pf.wl_vbackup_step)
+       << "platform.wl_vbackup_step=" << fmtExact(pf.wl_vbackup_step)
        << '\n'
-       << "platform.wl_von_base=" << keyNum(pf.wl_von_base) << '\n'
-       << "platform.wl_von_step=" << keyNum(pf.wl_von_step) << '\n'
+       << "platform.wl_von_base=" << fmtExact(pf.wl_von_base) << '\n'
+       << "platform.wl_von_step=" << fmtExact(pf.wl_von_step) << '\n'
        << "platform.wl_threshold_anchor=" << pf.wl_threshold_anchor
        << '\n'
        << "platform.nvff_energy_per_byte="
-       << keyNum(pf.nvff_energy_per_byte) << '\n'
+       << fmtExact(pf.nvff_energy_per_byte) << '\n'
        << "platform.nvff_restore_energy_per_byte="
-       << keyNum(pf.nvff_restore_energy_per_byte) << '\n'
+       << fmtExact(pf.nvff_restore_energy_per_byte) << '\n'
        << "platform.reboot_latency_cycles="
        << pf.reboot_latency_cycles << '\n';
 

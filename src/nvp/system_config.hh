@@ -10,10 +10,14 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "cache/cache_iface.hh"
 #include "cache/cache_params.hh"
+#include "cache/icache.hh"
 #include "cache/nvsram_cache.hh"
 #include "cache/nvsram_practical_cache.hh"
 #include "cache/replay_cache.hh"
@@ -71,7 +75,7 @@ std::string designKindNameList();
 bool designKindFromCliName(const std::string &name, DesignKind &out);
 
 /**
- * Every primary short name, '|'-separated in registry order, for
+ * Every primary short name, '|'-separated in DesignKind order, for
  * --help strings and "(valid: ...)" errors.
  */
 std::string designKindCliNameList();
@@ -80,11 +84,7 @@ std::string designKindCliNameList();
  * WL-Cache family: designs built on the DirtyQueue/maxline machinery
  * (adaptive runtime, threshold schedule, maxline NVFF state).
  */
-inline bool
-isWlFamily(DesignKind kind)
-{
-    return kind == DesignKind::WL || kind == DesignKind::WLLog;
-}
+bool isWlFamily(DesignKind kind);
 
 /** Step-mode name: "percycle" or "skip_ahead". */
 const char *stepModeName(StepMode mode);
@@ -133,6 +133,19 @@ struct PlatformParams
     /** Cycles for wake-up/boot before execution resumes. */
     Cycle reboot_latency_cycles = 2000;
 };
+
+/** Vbackup and Von thresholds, volts. */
+struct Thresholds
+{
+    double vbackup;
+    double von;
+};
+
+/**
+ * The WL-Cache threshold schedule (§4, §5.5) at @p maxline: both
+ * thresholds rise linearly above the anchor maxline, clamped at Vmax.
+ */
+Thresholds wlThresholds(const PlatformParams &p, unsigned maxline);
 
 /** Full system configuration. */
 struct SystemConfig
@@ -221,8 +234,9 @@ struct SystemConfig
     unsigned max_interval_rollups = 256;
 
     /**
-     * Preset for a given design: cache technology (SRAM vs NV array),
-     * restore voltage, and adaptive defaults per the paper.
+     * Preset for a given design (its design table row): cache
+     * technology (SRAM vs NV array), thresholds, and adaptive defaults
+     * per the paper.
      */
     static SystemConfig forDesign(DesignKind kind);
 };
@@ -236,6 +250,52 @@ struct SystemConfig
  * runner::kResultSchemaVersion.
  */
 void dumpConfigKey(std::ostream &os, const SystemConfig &cfg);
+
+/** How a design sets its Vbackup/Von thresholds. */
+enum class ThresholdRule
+{
+    Static,           //!< The preset platform.vbackup / platform.von.
+    WorstCaseBackup,  //!< Vbackup covers an all-dirty backup (§2.3.3).
+    WlSchedule,       //!< wlThresholds() at the current maxline.
+};
+
+/** Builds a design's data cache from its resolved configuration. */
+using DataCacheFactory = std::unique_ptr<cache::DataCache> (*)(
+    const SystemConfig &cfg, mem::NvmMemory &nvm,
+    energy::EnergyMeter *meter);
+
+/** A design's platform preset (Table 2) on top of the SRAM defaults. */
+struct DesignPreset
+{
+    double von;
+    double vbackup;
+    bool nv_arrays = false;    //!< NV D/I arrays instead of SRAM.
+    bool backup_full = false;  //!< nvsram.backup_full.
+};
+
+/**
+ * Everything that makes one cache design what it is: the design table
+ * (design_table.cc) holds one row per DesignKind, in DesignKind order.
+ */
+struct DesignRow
+{
+    DesignKind kind;
+    const char *name;       //!< Figure name (run records, spec keys).
+    const char *cli_name;   //!< Short command-line name.
+    const char *cli_alias;  //!< Second command-line name, or null.
+    DesignPreset preset;
+    bool wl_family;         //!< isWlFamily(); adaptive-runtime defaults.
+    ThresholdRule thresholds;
+    /** WarmRestore restores at cfg.nvsram's per-line restore cost. */
+    cache::ICacheKind icache;
+    DataCacheFactory make_dcache;
+};
+
+/** The design table row for @p kind. */
+const DesignRow &designRow(DesignKind kind);
+
+/** Every design table row, in DesignKind order. */
+std::span<const DesignRow> designTable();
 
 } // namespace nvp
 } // namespace wlcache

@@ -1,26 +1,11 @@
 #include "runner/spec_key.hh"
 
-#include <cstdio>
 #include <sstream>
 
 #include "util/strings.hh"
 
 namespace wlcache {
 namespace runner {
-
-namespace {
-
-/** %.17g — matches the config key's double rendering so the codec's
- *  round-trip echo check stays exact. */
-std::string
-keyDouble(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-} // anonymous namespace
 
 std::string
 specKeyText(const nvp::ExperimentSpec &spec)
@@ -37,7 +22,7 @@ specKeyText(const nvp::ExperimentSpec &spec)
        << "power=" << energy::traceKindName(spec.power) << '\n'
        << "power_seed=" << spec.power_seed << '\n'
        << "power_node=" << spec.power_node << '\n'
-       << "power_jitter=" << keyDouble(spec.power_jitter) << '\n'
+       << "power_jitter=" << util::fmtExact(spec.power_jitter) << '\n'
        << "no_failure=" << spec.no_failure << '\n';
     nvp::dumpConfigKey(os, cfg);
     return os.str();
@@ -78,7 +63,7 @@ resumeKey(const nvp::ExperimentSpec &spec)
        << "power=" << energy::traceKindName(spec.power) << '\n'
        << "power_seed=" << spec.power_seed << '\n'
        << "power_node=" << spec.power_node << '\n'
-       << "power_jitter=" << keyDouble(spec.power_jitter) << '\n'
+       << "power_jitter=" << util::fmtExact(spec.power_jitter) << '\n'
        << "no_failure=" << spec.no_failure << '\n';
     nvp::dumpConfigKey(os, keyed);
     return hashKeyText(os.str());

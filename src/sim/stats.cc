@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
@@ -24,15 +23,6 @@ jsonEscape(const std::string &s)
         out += c;
     }
     return out;
-}
-
-/** A double as a JSON number token (shortest exact form). */
-std::string
-jsonNum(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
 }
 
 } // anonymous namespace
@@ -58,7 +48,7 @@ Scalar::writeJson(std::ostream &os) const
     if (value_ == 0.0)
         os << u64_;   // Exact past 2^53.
     else
-        os << jsonNum(value());
+        os << util::fmtExact(value());
     os << ",\"desc\":\"" << jsonEscape(desc()) << "\"}";
 }
 
@@ -120,11 +110,11 @@ void
 Distribution::writeJson(std::ostream &os) const
 {
     os << "{\"type\":\"distribution\",\"count\":" << count_
-       << ",\"sum\":" << jsonNum(sum_)
-       << ",\"min\":" << jsonNum(min())
-       << ",\"max\":" << jsonNum(max())
-       << ",\"mean\":" << jsonNum(mean())
-       << ",\"stddev\":" << jsonNum(stddev())
+       << ",\"sum\":" << util::fmtExact(sum_)
+       << ",\"min\":" << util::fmtExact(min())
+       << ",\"max\":" << util::fmtExact(max())
+       << ",\"mean\":" << util::fmtExact(mean())
+       << ",\"stddev\":" << util::fmtExact(stddev())
        << ",\"buckets\":[";
     bool first = true;
     for (std::size_t i = 0; i < kNumBuckets; ++i) {

@@ -33,6 +33,14 @@ fmtDouble(double v, int precision)
 }
 
 std::string
+fmtExact(double v)
+{
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+std::string
 fmtBytes(std::uint64_t bytes)
 {
     static const char *suffixes[] = { "B", "KiB", "MiB", "GiB" };

@@ -24,6 +24,12 @@ std::string padRight(const std::string &s, std::size_t width);
 std::string fmtDouble(double v, int precision = 2);
 
 /**
+ * Format a double as "%.17g", which survives a strtod round trip bit
+ * for bit: equal text means equal doubles.
+ */
+std::string fmtExact(double v);
+
+/**
  * Format a byte count with a binary-unit suffix (B, KiB, MiB).
  * Values that are exact multiples render without a fraction,
  * e.g.\ 8192 -> "8KiB".

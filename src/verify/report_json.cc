@@ -1,6 +1,6 @@
-#include <cstdio>
 #include <ostream>
 
+#include "util/strings.hh"
 #include "verify/campaign.hh"
 
 namespace wlcache {
@@ -94,15 +94,13 @@ writeCampaignReportJson(std::ostream &os, const CampaignReport &r)
         os << "    \"events\": [\n";
         for (std::size_t i = 0; i < r.divergence_window.size(); ++i) {
             const telemetry::TimelineEvent &e = r.divergence_window[i];
-            char v[48];
-            std::snprintf(v, sizeof(v), "%.17g", e.v);
             os << "      {\"seq\": " << e.seq << ", \"cycle\": "
                << e.cycle << ", \"type\": \""
                << telemetry::eventTypeName(e.type) << "\", \"track\": \""
                << telemetry::trackName(telemetry::eventTrack(e.type))
                << "\", \"comp\": \"" << esc(e.comp) << "\", \"a0\": "
-               << e.a0 << ", \"a1\": " << e.a1 << ", \"v\": " << v
-               << '}'
+               << e.a0 << ", \"a1\": " << e.a1 << ", \"v\": "
+               << util::fmtExact(e.v) << '}'
                << (i + 1 < r.divergence_window.size() ? ",\n" : "\n");
         }
         os << "    ]\n  },\n";

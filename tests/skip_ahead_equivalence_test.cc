@@ -124,13 +124,17 @@ powerEnvName(PowerEnv e)
     return "?";
 }
 
-const nvp::DesignKind kAllDesigns[] = {
-    nvp::DesignKind::NoCache,         nvp::DesignKind::VCacheWT,
-    nvp::DesignKind::NVCacheWB,       nvp::DesignKind::NvsramWB,
-    nvp::DesignKind::NvsramFull,      nvp::DesignKind::NvsramPractical,
-    nvp::DesignKind::Replay,          nvp::DesignKind::WtBuffered,
-    nvp::DesignKind::WL,              nvp::DesignKind::WLLog,
-};
+/** Every design of the design table, in DesignKind order. */
+std::vector<nvp::DesignKind>
+allDesigns()
+{
+    std::vector<nvp::DesignKind> kinds;
+    for (const nvp::DesignRow &d : nvp::designTable())
+        kinds.push_back(d.kind);
+    return kinds;
+}
+
+const std::vector<nvp::DesignKind> kAllDesigns = allDesigns();
 
 /** Small-footprint workloads: the matrix runs each of them 54 times. */
 const char *const kMatrixWorkloads[] = {
@@ -337,7 +341,7 @@ TEST(SkipAheadFuzz, RandomConfigsBitIdentical)
 
     for (unsigned i = 0; i < 100; ++i) {
         const nvp::DesignKind design =
-            kAllDesigns[rng.nextBelow(std::size(kAllDesigns))];
+            kAllDesigns[rng.nextBelow(kAllDesigns.size())];
         const char *app = apps[rng.nextBelow(std::size(apps))];
         nvp::SystemConfig cfg = nvp::SystemConfig::forDesign(design);
 

@@ -54,12 +54,15 @@ applyCliConfig(const util::ArgParser &args, nvp::SystemConfig &cfg)
     cfg.icache.size_bytes = cfg.dcache.size_bytes;
     cfg.dcache.assoc = static_cast<unsigned>(args.getInt("assoc"));
     cfg.icache.assoc = cfg.dcache.assoc;
-    cfg.dcache.repl = util::toLower(args.get("cache-repl")) == "fifo"
-        ? cache::ReplPolicy::FIFO : cache::ReplPolicy::LRU;
+    if (!cache::replPolicyFromName(args.get("cache-repl"),
+                                   cfg.dcache.repl))
+        fatal("unknown --cache-repl '%s' (lru|fifo)",
+              args.get("cache-repl").c_str());
     cfg.wl.dq_size = static_cast<unsigned>(args.getInt("dq-size"));
     cfg.wl.maxline = static_cast<unsigned>(args.getInt("maxline"));
-    cfg.wl.dq_repl = util::toLower(args.get("dq-repl")) == "lru"
-        ? cache::ReplPolicy::LRU : cache::ReplPolicy::FIFO;
+    if (!cache::replPolicyFromName(args.get("dq-repl"), cfg.wl.dq_repl))
+        fatal("unknown --dq-repl '%s' (lru|fifo)",
+              args.get("dq-repl").c_str());
     cfg.adaptive.maxline_max = cfg.wl.dq_size >= 4
         ? cfg.wl.dq_size - 2 : cfg.wl.dq_size;
     cfg.platform.capacitance_f = args.getDouble("capacitor");
@@ -350,7 +353,7 @@ main(int argc, char **argv)
               << "%"
               << "\nstore stalls:      " << r.store_stall_cycles
               << " cycles\n";
-    if (design == nvp::DesignKind::WL) {
+    if (nvp::isWlFamily(design)) {
         std::cout << "wl reconfigs:      " << r.reconfigurations
                   << " (maxline " << r.maxline_min_seen << ".."
                   << r.maxline_max_seen << ", pred-acc "
