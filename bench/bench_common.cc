@@ -1,11 +1,12 @@
 #include "bench/bench_common.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 
-#include "runner/runner.hh"
 #include "sim/csv.hh"
 #include "sim/logging.hh"
 #include "util/stat_math.hh"
@@ -141,55 +142,16 @@ benchScale()
     const char *s = std::getenv("WLCACHE_BENCH_SCALE");
     if (!s)
         return 1;
-    const int v = std::atoi(s);
-    return v >= 1 ? static_cast<unsigned>(v) : 1;
+    const char *end = s + std::strlen(s);
+    unsigned v = 0;
+    const auto [ptr, ec] = std::from_chars(s, end, v);
+    if (ec != std::errc{} || ptr != end || v < 1)
+        fatal("WLCACHE_BENCH_SCALE='%s' is not a whole number >= 1", s);
+    return v;
 }
 
-unsigned
-benchJobs()
-{
-    const char *s = std::getenv("WLCACHE_BENCH_JOBS");
-    if (!s)
-        return 1;  // Historical serial behaviour when unset.
-    const int v = std::atoi(s);
-    if (v < 0)
-        return 1;
-    return v == 0 ? runner::defaultJobs()
-                  : static_cast<unsigned>(v);
-}
-
-std::vector<nvp::RunResult>
-runBenchBatch(const std::vector<nvp::ExperimentSpec> &specs)
-{
-    runner::JobSet set;
-    for (const auto &spec : specs) {
-        nvp::ExperimentSpec s = spec;
-        s.scale = benchScale();
-        set.add(std::move(s));
-    }
-
-    runner::RunnerConfig cfg;
-    cfg.jobs = benchJobs();
-    if (const char *dir = std::getenv("WLCACHE_BENCH_CACHE_DIR"))
-        cfg.cache_dir = dir;
-    if (const char *p = std::getenv("WLCACHE_BENCH_PROGRESS"))
-        cfg.progress = p[0] != '\0' && std::string(p) != "0";
-    if (const char *m = std::getenv("WLCACHE_BENCH_MANIFEST"))
-        cfg.manifest_path = m;
-
-    runner::Runner runner(cfg);
-    return runner.runAll(set);
-}
-
-nvp::RunResult
-runBench(const nvp::ExperimentSpec &spec)
-{
-    return runBenchBatch({ spec }).front();
-}
-
-std::vector<nvp::RunResult>
-runBenchSweep(const explore::SweepSpec &spec,
-              std::vector<explore::DesignPoint> *points)
+std::vector<nvp::ExperimentSpec>
+sweepSpecs(const explore::SweepSpec &spec)
 {
     std::vector<explore::DesignPoint> expanded;
     std::string err;
@@ -198,11 +160,9 @@ runBenchSweep(const explore::SweepSpec &spec,
               err.c_str());
     std::vector<nvp::ExperimentSpec> specs;
     specs.reserve(expanded.size());
-    for (const auto &p : expanded)
-        specs.push_back(p.spec);
-    if (points)
-        *points = std::move(expanded);
-    return runBenchBatch(specs);
+    for (auto &p : expanded)
+        specs.push_back(std::move(p.spec));
+    return specs;
 }
 
 } // namespace bench

@@ -1,19 +1,10 @@
 /**
  * @file
- * Shared helpers for the per-figure benchmark harnesses: the app
- * list in the paper's presentation order, speedup-table rendering
- * with the paper's gmean(Media)/gmean(Mi)/gmean(Total) columns, and
- * optional CSV output (set WLCACHE_BENCH_CSV=path prefix).
- *
- * Experiment execution goes through the shared runner subsystem, so
- * every figure binary picks up parallelism and result caching from
- * the environment without per-binary flags:
- *
- *   WLCACHE_BENCH_JOBS       worker threads (0 = all cores;
- *                            unset = 1, the historical serial mode)
- *   WLCACHE_BENCH_CACHE_DIR  content-addressed result cache directory
- *   WLCACHE_BENCH_PROGRESS   set non-empty for progress lines (stderr)
- *   WLCACHE_BENCH_MANIFEST   write the batch manifest JSON here
+ * Shared helpers for the paper's tables and figures (bench_paper):
+ * the app list in the paper's presentation order, speedup-table
+ * rendering with the paper's gmean(Media)/gmean(Mi)/gmean(Total)
+ * columns, optional CSV output (set WLCACHE_BENCH_CSV=path prefix),
+ * the workload scale, and declarative-sweep expansion.
  */
 
 #ifndef WLCACHE_BENCH_BENCH_COMMON_HH
@@ -69,39 +60,22 @@ class SpeedupTable
     std::map<std::string, std::map<std::string, double>> values_;
 };
 
-/** Scale factor for bench workloads (WLCACHE_BENCH_SCALE, default 1). */
+/**
+ * Scale factor for bench workloads (WLCACHE_BENCH_SCALE, default 1).
+ * fatal() unless the variable, when set, is a whole number >= 1.
+ */
 unsigned benchScale();
 
-/** Worker threads for bench batches (WLCACHE_BENCH_JOBS, default 1). */
-unsigned benchJobs();
-
 /**
- * Run a batch of experiments through the shared runner (parallelism
- * and caching per the WLCACHE_BENCH_* environment).
- * @return results in submission order — identical to running each
- *         spec serially.
+ * Expand a declarative sweep (explore axis-expansion API) into its
+ * experiments, in expansion order — the cartesian product with the
+ * first axis varying slowest — so a figure indexes results by axis
+ * position instead of re-nesting the sweep loops. fatal() on an
+ * invalid sweep (benches are compiled-in specs, so invalid means a
+ * bug).
  */
-std::vector<nvp::RunResult>
-runBenchBatch(const std::vector<nvp::ExperimentSpec> &specs);
-
-/** Run an experiment with bench-standard seeds (batch of one). */
-nvp::RunResult runBench(const nvp::ExperimentSpec &spec);
-
-/**
- * Expand a declarative sweep (explore axis-expansion API) and run
- * every point through the bench runner. Results come back in
- * expansion order — the cartesian product with the first axis
- * varying slowest — so a figure indexes results by axis position
- * instead of re-nesting the sweep loops. fatal() on an invalid
- * sweep (benches are compiled-in specs, so invalid means a bug).
- *
- * @param spec The sweep to expand.
- * @param points Optional; receives the expanded points (ids/specs)
- *               aligned with the result vector.
- */
-std::vector<nvp::RunResult>
-runBenchSweep(const explore::SweepSpec &spec,
-              std::vector<explore::DesignPoint> *points = nullptr);
+std::vector<nvp::ExperimentSpec>
+sweepSpecs(const explore::SweepSpec &spec);
 
 } // namespace bench
 } // namespace wlcache
