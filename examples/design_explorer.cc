@@ -7,7 +7,8 @@
  * — then the Pareto frontier over (time, NVM writes, hardware area).
  *
  * A thin wrapper over the explore subsystem: the design comparison is
- * one sweep with a single "design" axis, run through runExploration.
+ * one sweep with a single "design" axis over every design table row,
+ * run through runExploration on all cores (or WLCACHE_JOBS).
  * For sweeps over more dimensions, use tools/wlcache_explore with a
  * JSON spec instead.
  *
@@ -20,6 +21,7 @@
 #include <string>
 
 #include "explore/explorer.hh"
+#include "nvp/system_config.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 #include "workloads/workloads.hh"
@@ -40,17 +42,13 @@ main(int argc, char **argv)
                    { "power", explore::strValue(env_name) },
                    { "scale", explore::numValue(scale) } };
     explore::Axis designs{ "design", {} };
-    for (const char *d :
-         { "nocache", "wt", "wtbuf", "nvcache", "nvsram-full",
-           "nvsram", "nvsram-practical", "replay", "wl" })
-        designs.values.push_back(explore::strValue(d));
+    for (const auto &row : nvp::designTable())
+        designs.values.push_back(explore::strValue(row.cli_name));
     sweep.axes = { designs };
     sweep.objectives = { "time", "nvm_writes", "hw_area" };
 
     explore::ExploreConfig cfg;
     cfg.sweep = sweep;
-    if (const char *jobs = std::getenv("WLCACHE_BENCH_JOBS"))
-        cfg.jobs = static_cast<unsigned>(std::atoi(jobs));
 
     explore::ExploreReport report;
     std::string err;
