@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <string>
@@ -82,14 +83,12 @@ void
 addVsNvsram(std::vector<nvp::ExperimentSpec> &specs,
             const nvp::ExperimentSpec &variant)
 {
-    nvp::ExperimentSpec nvsram = variant;
-    nvsram.design = nvp::DesignKind::NvsramWB;
-    nvsram.tweak = nullptr;
-    const auto base = perApp(nvsram);
-    const auto var = perApp(variant);
-    for (std::size_t a = 0; a < base.size(); ++a) {
-        specs.push_back(base[a]);
-        specs.push_back(var[a]);
+    for (auto &s : perApp(variant)) {
+        nvp::ExperimentSpec nvsram = s;
+        nvsram.design = nvp::DesignKind::NvsramWB;
+        nvsram.tweak = nullptr;
+        specs.push_back(std::move(nvsram));
+        specs.push_back(std::move(s));
     }
 }
 
