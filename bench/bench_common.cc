@@ -1,9 +1,7 @@
 #include "bench/bench_common.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 
@@ -139,15 +137,7 @@ SpeedupTable::maybeWriteCsv(const std::string &slug) const
 unsigned
 benchScale()
 {
-    const char *s = std::getenv("WLCACHE_BENCH_SCALE");
-    if (!s)
-        return 1;
-    const char *end = s + std::strlen(s);
-    unsigned v = 0;
-    const auto [ptr, ec] = std::from_chars(s, end, v);
-    if (ec != std::errc{} || ptr != end || v < 1)
-        fatal("WLCACHE_BENCH_SCALE='%s' is not a whole number >= 1", s);
-    return v;
+    return util::envWholeNumber("WLCACHE_BENCH_SCALE", 1);
 }
 
 std::vector<nvp::ExperimentSpec>

@@ -1370,7 +1370,7 @@ main(int argc, char **argv)
     args.listOption("only",
                     "figures to print, comma-separated (default: all)");
     if (!args.parse(argc, argv))
-        return 1;
+        return args.helpRequested() ? 0 : 1;
     if (!args.positional().empty())
         fatal("unexpected argument '%s'",
               args.positional().front().c_str());

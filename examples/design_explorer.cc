@@ -70,7 +70,7 @@ main(int argc, char **argv)
                    "energy", "nvm-wr", "ld-hit%", "st-stall",
                    "final-ok" });
     for (const auto &o : report.outcomes) {
-        const auto &r = o.result;
+        const auto &r = o.nodes.front().result;
         table.row({
             nvp::designKindName(o.point.spec.design),
             util::fmtSeconds(r.total_seconds),

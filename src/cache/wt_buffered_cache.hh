@@ -7,7 +7,7 @@
  * failure-atomically, and a lengthened memory critical path (the
  * buffer must be consulted before NVM on every access). Implemented
  * so those claims can be measured rather than asserted (see
- * bench_ablations and the hwcost comparison).
+ * `bench_paper --only ablations` and the hwcost comparison).
  */
 
 #ifndef WLCACHE_CACHE_WT_BUFFERED_CACHE_HH

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "explore/objectives.hh"
 #include "mem/device/tech_profile.hh"
 #include "sim/logging.hh"
 #include "util/json.hh"
@@ -552,7 +553,130 @@ hasBinding(const std::vector<ParamBinding> &bindings,
     return false;
 }
 
+bool
+failAt(std::string *err, const std::string &path,
+       const std::string &what)
+{
+    if (err)
+        *err = path + ": " + what;
+    return false;
+}
+
+/** Integral JSON number >= @p min, or a diagnostic. */
+bool
+wantCount(const util::JsonValue &v, const std::string &path,
+          double min, std::uint64_t &out, std::string *err)
+{
+    if (!v.isNumber())
+        return failAt(err, path, "wants a number");
+    const double d = v.asDouble();
+    // 2^64 and up would overflow the conversion in asU64().
+    if (d != std::floor(d) || d < min || d >= 0x1p64)
+        return failAt(err, path,
+                      "wants an integer >= " +
+                          std::to_string(static_cast<long long>(min)));
+    out = v.asU64();
+    return true;
+}
+
+/** Parse the fleet "mix" array: [{"workload", "weight"?}, ...]. */
+bool
+parseMix(const util::JsonValue &jv, const std::string &path,
+         std::vector<MixEntry> &out, std::string *err)
+{
+    if (!jv.isArray() || jv.items().empty())
+        return failAt(err, path, "wants a non-empty array");
+    std::size_t i = 0;
+    for (const util::JsonValue &e : jv.items()) {
+        const std::string epath =
+            path + "[" + std::to_string(i++) + "]";
+        if (!e.isObject())
+            return failAt(err, epath,
+                          "wants {\"workload\", \"weight\"}");
+        MixEntry entry;
+        for (const auto &[ek, ev] : e.members()) {
+            if (ek == "workload") {
+                if (!ev.isString() ||
+                    !workloads::findWorkload(ev.asString()))
+                    return failAt(err, epath + ".workload",
+                                  "unknown workload" +
+                                      (ev.isString()
+                                           ? " '" + ev.asString() + "'"
+                                           : std::string()));
+                entry.workload = ev.asString();
+            } else if (ek == "weight") {
+                std::uint64_t w = 0;
+                if (!wantCount(ev, epath + ".weight", 1.0, w, err))
+                    return false;
+                if (w > 1024)
+                    return failAt(err, epath + ".weight",
+                                  "wants at most 1024");
+                entry.weight = static_cast<unsigned>(w);
+            } else {
+                return failAt(err, epath + "." + ek, "unknown key");
+            }
+        }
+        if (entry.workload.empty())
+            return failAt(err, epath, "missing \"workload\"");
+        out.push_back(std::move(entry));
+    }
+    return true;
+}
+
+/** Parameters a fleet sets per node, so its document may not bind. */
+bool
+isNodeParam(const std::string &name)
+{
+    return name == "power_node" || name == "power_jitter";
+}
+
+/**
+ * A fleet's base, axes, points and derived targets must leave the
+ * per-node parameters alone: the engine would overwrite them.
+ */
+bool
+checkNoNodeBindings(const SweepSpec &spec, std::string *err)
+{
+    const std::string why = "a fleet sets power_node and power_jitter "
+                            "per node; bind neither";
+    for (const auto &[k, v] : spec.base) {
+        (void)v;
+        if (isNodeParam(k))
+            return failAt(err, "$.base." + k, why);
+    }
+    for (std::size_t i = 0; i < spec.axes.size(); ++i)
+        if (isNodeParam(spec.axes[i].param))
+            return failAt(err,
+                          "$.axes[" + std::to_string(i) + "].param",
+                          why);
+    for (std::size_t p = 0; p < spec.points.size(); ++p)
+        for (const auto &[k, v] : spec.points[p]) {
+            (void)v;
+            if (isNodeParam(k))
+                return failAt(err,
+                              "$.points[" + std::to_string(p) + "]." +
+                                  k,
+                              why);
+        }
+    for (std::size_t i = 0; i < spec.derived.size(); ++i)
+        if (isNodeParam(spec.derived[i].param))
+            return failAt(err,
+                          "$.derived[" + std::to_string(i) + "].param",
+                          why);
+    return true;
+}
+
 } // anonymous namespace
+
+std::vector<std::string>
+SweepSpec::workloadPattern() const
+{
+    std::vector<std::string> pattern;
+    for (const MixEntry &e : mix)
+        for (unsigned i = 0; i < e.weight; ++i)
+            pattern.push_back(e.workload);
+    return pattern;
+}
 
 bool
 parseSweepSpec(const std::string &json_text, SweepSpec &out,
@@ -758,14 +882,38 @@ parseSweepSpec(const std::string &json_text, SweepSpec &out,
                 return false;
             }
             for (std::size_t i = 0; i < jv.items().size(); ++i) {
-                if (!jv.items()[i].isString()) {
-                    if (err)
-                        *err = path + "[" + std::to_string(i) +
-                               "]: expected a string";
-                    return false;
-                }
-                spec.objectives.push_back(jv.items()[i].asString());
+                const std::string opath =
+                    path + "[" + std::to_string(i) + "]";
+                if (!jv.items()[i].isString())
+                    return failAt(err, opath, "expected a string");
+                const std::string &name = jv.items()[i].asString();
+                if (!findObjective(name))
+                    return failAt(err, opath,
+                                  "unknown objective '" + name +
+                                      "' (valid: " +
+                                      objectiveNameList() + ")");
+                spec.objectives.push_back(name);
             }
+        } else if (key == "nodes") {
+            std::uint64_t n = 0;
+            if (!wantCount(jv, path, 1.0, n, err))
+                return false;
+            if (n > 4096)
+                return failAt(err, path, "wants at most 4096 nodes");
+            spec.nodes = static_cast<unsigned>(n);
+        } else if (key == "jitter") {
+            if (!jv.isNumber())
+                return failAt(err, path, "wants a number");
+            const double j = jv.asDouble();
+            if (j < 0.0 || j > 2.0)
+                return failAt(err, path, "jitter must be in [0, 2]");
+            spec.jitter = j;
+        } else if (key == "deadline_cycles") {
+            if (!wantCount(jv, path, 0.0, spec.deadline_cycles, err))
+                return false;
+        } else if (key == "mix") {
+            if (!parseMix(jv, path, spec.mix, err))
+                return false;
         } else {
             if (err)
                 *err = path + ": unknown sweep-spec key";
@@ -774,6 +922,15 @@ parseSweepSpec(const std::string &json_text, SweepSpec &out,
     }
 
     // Cross-checks the per-key loops above cannot do.
+    if (!spec.nodes) {
+        for (const char *key : { "jitter", "deadline_cycles", "mix" })
+            if (root.get(key))
+                return failAt(err, std::string("$.") + key,
+                              "only a fleet takes this key; add "
+                              "\"nodes\"");
+    } else if (!checkNoNodeBindings(spec, err)) {
+        return false;
+    }
     for (std::size_t i = 0; i < spec.derived.size(); ++i) {
         const auto &d = spec.derived[i];
         const std::string dpath = "$.derived[" + std::to_string(i) +

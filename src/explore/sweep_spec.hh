@@ -74,7 +74,21 @@ struct DerivedParam
     double add = 0.0;
 };
 
-/** A full declarative sweep. */
+/** One workload-mix entry: @c weight nodes out of every cycle of the
+ *  mix run @c workload. */
+struct MixEntry
+{
+    std::string workload;
+    unsigned weight = 1;
+};
+
+/**
+ * A full declarative sweep. With @c nodes set it is a fleet: every
+ * point runs once per node, each node a single-node experiment with
+ * `power_node`/`power_jitter` set (so node-derived power traces stay
+ * content-addressed like everything else), and the point's
+ * objectives reduce over its nodes.
+ */
 struct SweepSpec
 {
     std::string name = "sweep";
@@ -90,6 +104,35 @@ struct SweepSpec
 
     /** Objective names (see objectives.hh); may be empty. */
     std::vector<std::string> objectives;
+
+    // --- Fleet keys (all optional; jitter, deadline_cycles and mix
+    //     need nodes) ---
+
+    /** Fleet node count; 0 = a plain sweep (one run per point). */
+    unsigned nodes = 0;
+
+    /**
+     * Per-node power-gain spread handed to energy::deriveNodeTrace();
+     * 0 makes every node see the identical base trace.
+     */
+    double jitter = 0.25;
+
+    /**
+     * Cycle budget for the fleet_deadline_miss objective: a node
+     * meets the deadline when it completes within this many on-cycles
+     * worth of wall-clock (0 = completion alone is the deadline).
+     */
+    std::uint64_t deadline_cycles = 0;
+
+    /**
+     * Workload mix, expanded to a node->workload pattern: entries
+     * repeat by weight, node i runs pattern[i % len]. Empty keeps the
+     * point's own workload on every node.
+     */
+    std::vector<MixEntry> mix;
+
+    /** The expanded node->workload pattern (empty when mix is). */
+    std::vector<std::string> workloadPattern() const;
 };
 
 /** One fully-resolved point of the expanded space. */
@@ -109,10 +152,19 @@ struct DesignPoint
 };
 
 /**
- * Parse a JSON sweep-spec document. Strict: unknown keys, unknown
- * parameter names, type mismatches, and malformed structure are all
- * rejected with a diagnostic naming the offending JSON path (e.g.
+ * Parse a JSON sweep-spec document:
+ *
+ *   { "name": ..., "base": {...}, "axes": [...], "points": [...],
+ *     "derived": [...], "objectives": [...],
+ *     "nodes": N, "jitter": J, "deadline_cycles": D,
+ *     "mix": [{"workload": "sha", "weight": 3}, ...] }
+ *
+ * Strict: unknown keys, unknown parameter, objective or workload
+ * names, type mismatches, and malformed structure are all rejected
+ * with a diagnostic naming the offending JSON path (e.g.
  * "$.axes[1].values[0]: parameter 'wl.maxline' wants a number").
+ * A fleet (a document with "nodes") derives `power_node` and
+ * `power_jitter` per node, so it may not bind either.
  *
  * @return true on success; false leaves @p out untouched and fills
  *         @p err (when given) with the one-line diagnostic.

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <sstream>
@@ -14,6 +13,7 @@
 #include "runner/spec_key.hh"
 #include "sim/logging.hh"
 #include "util/fs.hh"
+#include "util/strings.hh"
 
 namespace wlcache {
 namespace runner {
@@ -21,14 +21,8 @@ namespace runner {
 unsigned
 defaultJobs()
 {
-    if (const char *env = std::getenv("WLCACHE_JOBS")) {
-        const int v = std::atoi(env);
-        if (v >= 1)
-            return static_cast<unsigned>(v);
-        warn("ignoring invalid WLCACHE_JOBS='%s'", env);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw >= 1 ? hw : 1;
+    return util::envWholeNumber("WLCACHE_JOBS", hw >= 1 ? hw : 1);
 }
 
 Runner::Runner(RunnerConfig cfg) : cfg_(std::move(cfg)) {}

@@ -85,7 +85,10 @@ struct BatchStats
     std::vector<JobRecord> records; //!< Submission order.
 };
 
-/** WLCACHE_JOBS env override, else std::thread::hardware_concurrency. */
+/**
+ * WLCACHE_JOBS env override, else std::thread::hardware_concurrency.
+ * fatal() when WLCACHE_JOBS is set but not a whole number >= 1.
+ */
 unsigned defaultJobs();
 
 class Runner

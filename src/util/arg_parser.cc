@@ -67,6 +67,7 @@ ArgParser::parse(int argc, char **argv)
         std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
             std::fputs(usage().c_str(), stdout);
+            help_requested_ = true;
             return false;
         }
         if (!startsWith(arg, "--")) {

@@ -48,9 +48,13 @@ class ArgParser
 
     /**
      * Parse argv. Returns false (after printing usage or an error)
-     * when the caller should exit; `--help` is handled here.
+     * when the caller should exit; `--help` is handled here, and
+     * helpRequested() tells it apart from a bad command line.
      */
     bool parse(int argc, char **argv);
+
+    /** True when parse() stopped at `--help` / `-h` (exit 0). */
+    bool helpRequested() const { return help_requested_; }
 
     // --- Typed accessors (fatal() on unknown names) ---
     std::string get(const std::string &name) const;
@@ -88,6 +92,7 @@ class ArgParser
     std::string summary_;
     std::vector<Option> options_;
     std::vector<std::string> positional_;
+    bool help_requested_ = false;
 };
 
 } // namespace util

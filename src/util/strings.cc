@@ -1,9 +1,13 @@
 #include "util/strings.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
+
+#include "sim/logging.hh"
 
 namespace wlcache {
 namespace util {
@@ -136,6 +140,31 @@ fnv1a128Hex(const void *data, std::size_t bytes)
                   static_cast<unsigned long long>(h0),
                   static_cast<unsigned long long>(h1));
     return buf;
+}
+
+bool
+parseWholeNumber(const std::string &s, unsigned &out)
+{
+    const char *end = s.data() + s.size();
+    unsigned v = 0;
+    const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    // from_chars takes neither a sign nor leading spaces.
+    if (ec != std::errc{} || ptr != end || v < 1)
+        return false;
+    out = v;
+    return true;
+}
+
+unsigned
+envWholeNumber(const char *name, unsigned fallback)
+{
+    const char *s = std::getenv(name);
+    if (!s)
+        return fallback;
+    unsigned v = 0;
+    if (!parseWholeNumber(s, v))
+        fatal("%s='%s' is not a whole number >= 1", name, s);
+    return v;
 }
 
 } // namespace util

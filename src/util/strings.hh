@@ -66,6 +66,20 @@ bool startsWith(const std::string &s, const std::string &prefix);
 /** Lower-case an ASCII string. */
 std::string toLower(std::string s);
 
+/**
+ * Parse @p s as a whole number >= 1: decimal digits only, no sign,
+ * no spaces, no trailing text, and no overflow of @c unsigned.
+ * @return false (leaving @p out untouched) for anything else.
+ */
+bool parseWholeNumber(const std::string &s, unsigned &out);
+
+/**
+ * The whole number >= 1 in environment variable @p name, or
+ * @p fallback when it is unset. fatal() naming the variable and its
+ * value when it is set to anything parseWholeNumber() rejects.
+ */
+unsigned envWholeNumber(const char *name, unsigned fallback);
+
 } // namespace util
 } // namespace wlcache
 

@@ -99,7 +99,14 @@ TEST(ArgParser, FlagWithValueFails)
 TEST(ArgParser, HelpStopsParsing)
 {
     auto p = makeParser();
+    EXPECT_FALSE(p.helpRequested());
     EXPECT_FALSE(parse(p, { "--help" }));
+    EXPECT_TRUE(p.helpRequested());
+
+    // A bad option also stops parsing, but is not a help request.
+    auto q = makeParser();
+    EXPECT_FALSE(parse(q, { "--bogus" }));
+    EXPECT_FALSE(q.helpRequested());
 }
 
 TEST(ArgParser, ScientificNotationDoubles)

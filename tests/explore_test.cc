@@ -5,11 +5,13 @@
  * JSON path), axis expansion order and derived parameters, the
  * objective registry, the Pareto machinery, deterministic report
  * writers, end-to-end explorations (determinism, warm-cache
- * resumption, per-point scale), and every committed example spec.
+ * resumption, per-point scale), every committed example spec, and a
+ * deterministic mutation fuzz of the spec parser.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -22,10 +24,9 @@
 #include "explore/pareto.hh"
 #include "explore/report.hh"
 #include "explore/sweep_spec.hh"
-#include "fleet/fleet.hh"
-#include "fleet/fleet_spec.hh"
 #include "runner/spec_key.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 #include "workloads/workloads.hh"
 
 using namespace wlcache;
@@ -511,28 +512,31 @@ TEST(Objectives, TimeExtrapolatesUnfinishedRuns)
     nvp::ExperimentSpec spec;
     spec.workload = "sha";
     const auto &trace = workloads::getTrace("sha", 1);
-    const auto cfg = nvp::resolveConfig(spec);
+    auto timeOf = [&spec](const nvp::RunResult &r) {
+        NodeResult n;
+        n.spec = spec;
+        n.result = r;
+        return evalObjectives({ "time" }, { n }, SweepSpec{});
+    };
 
     nvp::RunResult half;
     half.completed = false;
     half.total_seconds = 1.0;
     half.instructions = trace.totalInstructions() / 2;
-    const auto objs = evalObjectives({ "time" }, half, cfg, spec);
+    const auto objs = timeOf(half);
     ASSERT_EQ(objs.size(), 1u);
     EXPECT_NEAR(objs[0], 2.0, 0.05);
 
     // No progress at all: the fixed terrible number, not inf/NaN.
     nvp::RunResult stuck;
     stuck.total_seconds = 1.0;
-    EXPECT_DOUBLE_EQ(
-        evalObjectives({ "time" }, stuck, cfg, spec)[0], 1.0e6);
+    EXPECT_DOUBLE_EQ(timeOf(stuck)[0], 1.0e6);
 
     // Finished runs report wall-clock untouched.
     nvp::RunResult done;
     done.completed = true;
     done.total_seconds = 0.25;
-    EXPECT_DOUBLE_EQ(
-        evalObjectives({ "time" }, done, cfg, spec)[0], 0.25);
+    EXPECT_DOUBLE_EQ(timeOf(done)[0], 0.25);
 }
 
 // ---------------------------------------------------------------------
@@ -586,16 +590,18 @@ syntheticReport()
     a.point.params = { { "design", strValue("wl") },
                        { "wl.maxline", numValue(4) } };
     a.objectives = { 0.5, 100.0 };
-    a.run_key = "aaaa";
-    a.result.completed = true;
+    a.nodes.resize(1);
+    a.nodes[0].run_key = "aaaa";
+    a.nodes[0].result.completed = true;
     a.on_frontier = true;
 
     PointOutcome b;
     b.point.id = "design=nvsram";
     b.point.params = { { "design", strValue("nvsram") } };
     b.objectives = { 1.0, 10.0 };
-    b.run_key = "bbbb";
-    b.result.completed = false;
+    b.nodes.resize(1);
+    b.nodes[0].run_key = "bbbb";
+    b.nodes[0].result.completed = false;
     b.on_frontier = true;
 
     r.outcomes = { a, b };
@@ -708,7 +714,8 @@ TEST(Explorer, ExhaustiveIsDeterministic)
     EXPECT_FALSE(first.frontier.empty());
     for (const auto &o : first.outcomes) {
         ASSERT_EQ(o.objectives.size(), 3u);
-        EXPECT_EQ(o.run_key, runner::specKey(o.point.spec));
+        ASSERT_EQ(o.nodes.size(), 1u);
+        EXPECT_EQ(o.nodes[0].run_key, runner::specKey(o.point.spec));
     }
     // Two cold runs render byte-identical reports.
     EXPECT_EQ(renderCsv(first), renderCsv(second));
@@ -750,11 +757,11 @@ TEST(Explorer, SweptScaleRunsEachPointAtItsScale)
     })"), report));
     ASSERT_EQ(report.outcomes.size(), 2u);
     for (const auto &o : report.outcomes)
-        EXPECT_EQ(o.run_key, runner::specKey(o.point.spec));
+        EXPECT_EQ(o.nodes.at(0).run_key, runner::specKey(o.point.spec));
     EXPECT_EQ(report.outcomes[0].point.spec.scale, 1u);
     EXPECT_EQ(report.outcomes[1].point.spec.scale, 2u);
-    EXPECT_LT(report.outcomes[0].result.trace_events,
-              report.outcomes[1].result.trace_events);
+    EXPECT_LT(report.outcomes[0].nodes.at(0).result.trace_events,
+              report.outcomes[1].nodes.at(0).result.trace_events);
 }
 
 // ---------------------------------------------------------------------
@@ -776,16 +783,7 @@ TEST(Examples, EveryCommittedSpecParsesAndExpands)
         std::string err;
 
         SweepSpec sweep;
-        if (name.rfind("fleet_", 0) == 0) {
-            fleet::FleetSpec spec;
-            ASSERT_TRUE(fleet::parseFleetSpec(text.str(), spec, &err))
-                << err;
-            for (const auto &obj : spec.objectives)
-                EXPECT_NE(fleet::findFleetObjective(obj), nullptr) << obj;
-            sweep = spec.sweep;
-        } else {
-            ASSERT_TRUE(parseSweepSpec(text.str(), sweep, &err)) << err;
-        }
+        ASSERT_TRUE(parseSweepSpec(text.str(), sweep, &err)) << err;
         for (const auto &obj : sweep.objectives)
             EXPECT_NE(findObjective(obj), nullptr) << obj;
         std::vector<DesignPoint> points;
@@ -795,4 +793,65 @@ TEST(Examples, EveryCommittedSpecParsesAndExpands)
     }
     // Guard against a wrong directory passing vacuously.
     EXPECT_GE(specs, 6u);
+}
+
+TEST(SweepSpecFuzz, MutantsParseOrFailCleanly)
+{
+    // Deterministic mutation fuzz of the one spec parser, seeded from
+    // every committed example spec: bit flips, byte replacements,
+    // insertions, deletions and truncations under a fixed seed. Each
+    // mutant must either parse or come back with a diagnostic; the
+    // ASan+UBSan build turns a crash or UB into a failure.
+    namespace fs = std::filesystem;
+    std::vector<std::string> seeds;
+    for (const auto &entry : fs::directory_iterator(WLCACHE_EXAMPLES_DIR)) {
+        if (entry.path().extension() != ".json")
+            continue;
+        std::ifstream in(entry.path(), std::ios::binary);
+        std::ostringstream text;
+        text << in.rdbuf();
+        seeds.push_back(text.str());
+    }
+    // Directory order is unspecified; sort so the mutants are fixed.
+    std::sort(seeds.begin(), seeds.end());
+    ASSERT_GE(seeds.size(), 6u);
+
+    // Replacement and insertion bytes lean towards JSON structure and
+    // number syntax, so mutants get past the JSON layer often.
+    static const char kBytes[] = "{}[]\":,.-+eE0123456789 \ntfnul";
+    Rng rng(0x5eedf00d);
+    auto pick = [&rng] {
+        return kBytes[rng.nextBelow(sizeof(kBytes) - 1)];
+    };
+    std::size_t parsed = 0, rejected = 0;
+    for (const std::string &seed : seeds) {
+        for (int i = 0; i < 400; ++i) {
+            std::string m = seed;
+            const std::uint64_t edits = 1 + rng.nextBelow(4);
+            for (std::uint64_t e = 0; e < edits && !m.empty(); ++e) {
+                const std::size_t at = rng.nextBelow(m.size());
+                switch (rng.nextBelow(5)) {
+                  case 0:
+                    m[at] = static_cast<char>(
+                        m[at] ^ (1 << rng.nextBelow(8)));
+                    break;
+                  case 1: m[at] = pick(); break;
+                  case 2: m.insert(at, 1, pick()); break;
+                  case 3: m.erase(at, 1); break;
+                  default: m.resize(at); break;
+                }
+            }
+            SweepSpec spec;
+            std::string err;
+            if (parseSweepSpec(m, spec, &err)) {
+                ++parsed;
+            } else {
+                EXPECT_FALSE(err.empty()) << m;
+                ++rejected;
+            }
+        }
+    }
+    // Both outcomes occur: the mutants reach past the JSON layer.
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(rejected, 0u);
 }

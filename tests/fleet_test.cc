@@ -1,13 +1,13 @@
 /**
  * @file
- * Unit tests for the fleet scenario layer: deterministic per-node
- * trace derivation (same inputs bit-identical, different node ids
- * decorrelated, byte-exact save/load round trips), the nearest-rank
- * percentile against a hand-computed oracle, aggregation that is
- * independent of worker completion order with N=0/N=1 guarded,
- * fleet-spec parsing diagnostics, warm-cache fleet re-runs executing
- * zero jobs, and a fleet whose Pareto winner differs from the
- * single-node winner.
+ * Unit tests for fleets (sweep documents with `nodes`): deterministic
+ * per-node trace derivation (same inputs bit-identical, different
+ * node ids decorrelated, byte-exact save/load round trips), the
+ * nearest-rank percentile against a hand-computed oracle, aggregation
+ * that is independent of worker completion order with N=0/N=1
+ * guarded, fleet-key parsing diagnostics, warm-cache fleet re-runs
+ * executing zero jobs, and a fleet whose Pareto winner differs from
+ * the single-node winner.
  */
 
 #include <gtest/gtest.h>
@@ -20,22 +20,23 @@
 #include <vector>
 
 #include "energy/power_trace.hh"
-#include "fleet/fleet.hh"
-#include "fleet/fleet_spec.hh"
-#include "fleet/report.hh"
+#include "explore/explorer.hh"
+#include "explore/objectives.hh"
+#include "explore/report.hh"
+#include "explore/sweep_spec.hh"
 #include "sim/logging.hh"
 
 using namespace wlcache;
-using namespace wlcache::fleet;
+using namespace wlcache::explore;
 
 namespace {
 
-FleetSpec
+SweepSpec
 parseOk(const std::string &text)
 {
-    FleetSpec spec;
+    SweepSpec spec;
     std::string err;
-    EXPECT_TRUE(parseFleetSpec(text, spec, &err)) << err;
+    EXPECT_TRUE(parseSweepSpec(text, spec, &err)) << err;
     return spec;
 }
 
@@ -43,9 +44,9 @@ parseOk(const std::string &text)
 std::string
 parseErr(const std::string &text)
 {
-    FleetSpec spec;
+    SweepSpec spec;
     std::string err;
-    EXPECT_FALSE(parseFleetSpec(text, spec, &err)) << text;
+    EXPECT_FALSE(parseSweepSpec(text, spec, &err)) << text;
     EXPECT_FALSE(err.empty());
     return err;
 }
@@ -58,7 +59,7 @@ makeNode(std::uint64_t node, std::uint64_t instructions,
 {
     NodeResult n;
     n.node = node;
-    n.workload = "synthetic";
+    n.spec.workload = "synthetic";
     n.result.instructions = instructions;
     n.result.total_seconds = seconds;
     n.result.nvm_writes = nvm_writes;
@@ -69,9 +70,9 @@ makeNode(std::uint64_t node, std::uint64_t instructions,
 std::vector<double>
 aggregate(std::vector<NodeResult> nodes,
           const std::vector<std::string> &objectives,
-          const FleetSpec &spec = {})
+          const SweepSpec &spec = {})
 {
-    FleetPointOutcome out;
+    PointOutcome out;
     out.nodes = std::move(nodes);
     aggregatePoint(out, spec, objectives);
     return out.objectives;
@@ -200,9 +201,9 @@ TEST(Aggregate, IndependentOfDeliveryOrder)
     EXPECT_EQ(aggregate(sorted, objectives),
               aggregate(shuffled, objectives));
 
-    FleetPointOutcome out;
+    PointOutcome out;
     out.nodes = shuffled;
-    aggregatePoint(out, FleetSpec{}, objectives);
+    aggregatePoint(out, SweepSpec{}, objectives);
     for (std::size_t i = 0; i + 1 < out.nodes.size(); ++i)
         EXPECT_LT(out.nodes[i].node, out.nodes[i + 1].node);
     EXPECT_EQ(out.total_instructions, 36000u);
@@ -213,8 +214,13 @@ TEST(Aggregate, IndependentOfDeliveryOrder)
 TEST(Aggregate, GuardsEmptyAndSingleNodeFleets)
 {
     std::vector<std::string> all;
-    for (const auto &d : allFleetObjectives())
+    for (const auto &d : allObjectives())
         all.push_back(d.name);
+    auto at = [&all](const std::vector<double> &values,
+                     const std::string &name) {
+        const auto it = std::find(all.begin(), all.end(), name);
+        return values[static_cast<std::size_t>(it - all.begin())];
+    };
 
     // N=0: every objective must come out finite (0), never NaN/Inf.
     for (const double v : aggregate({}, all)) {
@@ -227,11 +233,37 @@ TEST(Aggregate, GuardsEmptyAndSingleNodeFleets)
     const auto one = aggregate({ makeNode(0, 5000, 2.0, 40) }, all);
     for (const double v : one)
         EXPECT_TRUE(std::isfinite(v));
-    EXPECT_EQ(one[0], -2500.0); // p50 == the single node's rate
-    EXPECT_EQ(one[1], -2500.0); // p90
-    EXPECT_EQ(one[2], -2500.0); // p99
+    EXPECT_EQ(at(one, "fleet_p50_progress"), -2500.0); // the node's rate
+    EXPECT_EQ(at(one, "fleet_p90_progress"), -2500.0);
+    EXPECT_EQ(at(one, "fleet_p99_progress"), -2500.0);
     for (const double v : aggregate({ makeNode(0, 5000, 0.0) }, all))
         EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST(Aggregate, OneNodeReducesToTheRunsOwnValue)
+{
+    // A plain sweep point is a one-node fleet: every reducer must
+    // hand back the run's own value bit for bit, signed zero and
+    // values that a sum or mean from 0.0 would round included.
+    NodeResult plain = makeNode(0, 7, 0.1 + 0.2, 3);
+    plain.result.nvm_write_p99_latency = 1.0 / 3.0;
+    plain.result.nvm_wear_max = 9;
+    plain.result.nvm_lifetime_headroom = 11;
+    NodeResult zero = makeNode(0, 0, -0.0, 0);
+    zero.result.nvm_write_p99_latency = -0.0;
+
+    const SweepSpec sweep;
+    for (const NodeResult &node : { plain, zero }) {
+        for (const ObjectiveDef &def : allObjectives()) {
+            SCOPED_TRACE(def.name);
+            const double raw = def.run(node, sweep);
+            const double want = def.negate ? -raw : raw;
+            const double got = evalObjectives({ def.name }, { node },
+                                              sweep)[0];
+            EXPECT_EQ(got, want);
+            EXPECT_EQ(std::signbit(got), std::signbit(want));
+        }
+    }
 }
 
 TEST(Aggregate, DeadlineMissCountsCompletionAndBudget)
@@ -246,7 +278,7 @@ TEST(Aggregate, DeadlineMissCountsCompletionAndBudget)
     EXPECT_EQ(aggregate(nodes, obj)[0], 0.5);
 
     // A finite budget also times out slow completions.
-    FleetSpec strict;
+    SweepSpec strict;
     strict.deadline_cycles = 1; // ~one cycle of wall clock
     nodes = {
         makeNode(0, 100, 1.0e-12, 0, true), // fast: meets
@@ -271,11 +303,8 @@ TEST(FleetSpecParse, ParsesFullSpec)
         "mix": [{"workload": "sha", "weight": 2},
                 {"workload": "qsort"}],
         "objectives": ["fleet_p99_progress", "fleet_wear_total"],
-        "sweep": {
-            "name": "inner",
-            "base": {"workload": "sha", "power": "trace2"},
-            "axes": [{"param": "design", "values": ["wl", "wllog"]}]
-        }
+        "base": {"workload": "sha", "power": "trace2"},
+        "axes": [{"param": "design", "values": ["wl", "wllog"]}]
     })");
     EXPECT_EQ(spec.name, "office-fleet");
     EXPECT_EQ(spec.nodes, 12u);
@@ -283,31 +312,43 @@ TEST(FleetSpecParse, ParsesFullSpec)
     EXPECT_EQ(spec.deadline_cycles, 100000u);
     ASSERT_EQ(spec.mix.size(), 2u);
     EXPECT_EQ(spec.mix[0].weight, 2u);
-    EXPECT_EQ(spec.sweep.axes.size(), 1u);
+    EXPECT_EQ(spec.axes.size(), 1u);
 
     // weight-2 sha + weight-1 qsort expands to a 3-long pattern.
     const auto pattern = spec.workloadPattern();
     const std::vector<std::string> want = { "sha", "sha", "qsort" };
     EXPECT_EQ(pattern, want);
+
+    // Without "nodes" the document is a plain sweep.
+    EXPECT_EQ(parseOk(R"({"base": {"workload": "sha"}})").nodes, 0u);
+    EXPECT_EQ(parseOk(R"({"nodes": 2})").jitter, 0.25);
 }
 
 TEST(FleetSpecParse, RejectsBadDocumentsWithDiagnostics)
 {
     // Unknown top-level key.
     EXPECT_NE(parseErr(R"({"nodes": 2, "bogus": 1,
-                           "sweep": {"base": {"workload": "sha"}}})")
+                           "base": {"workload": "sha"}})")
                   .find("bogus"),
               std::string::npos);
 
-    // Missing sweep / missing nodes.
-    parseErr(R"({"nodes": 2})");
-    parseErr(R"({"sweep": {"base": {"workload": "sha"}}})");
+    // Fleet keys without "nodes"; a node count below one.
+    EXPECT_NE(parseErr(R"({"jitter": 0.5})").find("$.jitter"),
+              std::string::npos);
+    EXPECT_NE(parseErr(R"({"deadline_cycles": 10})")
+                  .find("$.deadline_cycles"),
+              std::string::npos);
+    EXPECT_NE(parseErr(R"({"mix": [{"workload": "sha"}]})")
+                  .find("$.mix"),
+              std::string::npos);
+    EXPECT_NE(parseErr(R"({"nodes": 0})").find("$.nodes"),
+              std::string::npos);
 
     // Unknown objective names the registry.
     const std::string err = parseErr(R"({
         "nodes": 2,
         "objectives": ["fleet_p12_progress"],
-        "sweep": {"base": {"workload": "sha"}}
+        "base": {"workload": "sha"}
     })");
     EXPECT_NE(err.find("fleet_p12_progress"), std::string::npos);
     EXPECT_NE(err.find("fleet_p99_progress"), std::string::npos);
@@ -316,18 +357,40 @@ TEST(FleetSpecParse, RejectsBadDocumentsWithDiagnostics)
     EXPECT_NE(parseErr(R"({
                   "nodes": 2,
                   "mix": [{"workload": "no_such_app"}],
-                  "sweep": {"base": {"workload": "sha"}}
+                  "base": {"workload": "sha"}
               })")
                   .find("no_such_app"),
               std::string::npos);
 
-    // A broken inner sweep surfaces the sweep parser's diagnostic.
+    // A broken sweep part surfaces the sweep parser's diagnostic.
     EXPECT_NE(parseErr(R"({
                   "nodes": 2,
-                  "sweep": {"base": {"power": "tracer9"}}
+                  "base": {"power": "tracer9"}
               })")
                   .find("tracer9"),
               std::string::npos);
+
+    // A fleet derives power_node and power_jitter per node, so it may
+    // bind neither, wherever the binding sits.
+    const std::vector<std::pair<std::string, std::string>> bound = {
+        { R"({"nodes": 2, "axes": [{"param": "power_jitter",
+                                    "values": [0, 1.5]}]})",
+          "$.axes[0].param" },
+        { R"({"base": {"power_node": 3}, "nodes": 2})",
+          "$.base.power_node" },
+        { R"({"nodes": 2, "points": [{"design": "wl"},
+                                      {"power_jitter": 0.5}]})",
+          "$.points[1].power_jitter" },
+        { R"({"nodes": 2, "base": {"workload_seed": 1},
+              "derived": [{"param": "power_node",
+                           "source": "workload_seed"}]})",
+          "$.derived[0].param" },
+    };
+    for (const auto &[doc, path] : bound) {
+        const std::string e = parseErr(doc);
+        EXPECT_NE(e.find(path), std::string::npos) << e;
+        EXPECT_NE(e.find("per node"), std::string::npos) << e;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -336,7 +399,7 @@ TEST(FleetSpecParse, RejectsBadDocumentsWithDiagnostics)
 
 namespace {
 
-FleetSpec
+SweepSpec
 smallFleet()
 {
     return parseOk(R"({
@@ -346,30 +409,27 @@ smallFleet()
         "mix": [{"workload": "sha", "weight": 2},
                 {"workload": "qsort"}],
         "objectives": ["fleet_p99_progress", "fleet_wear_total"],
-        "sweep": {
-            "name": "tiny-sweep",
-            "base": {"workload": "sha", "power": "trace2"},
-            "axes": [{"param": "design", "values": ["wl", "wt"]}]
-        }
+        "base": {"workload": "sha", "power": "trace2"},
+        "axes": [{"param": "design", "values": ["wl", "wt"]}]
     })");
 }
 
 bool
-runSmall(const FleetSpec &spec, FleetReport &out,
+runSmall(const SweepSpec &spec, ExploreReport &out,
          const std::string &cache_dir)
 {
-    FleetConfig cfg;
-    cfg.spec = spec;
+    ExploreConfig cfg;
+    cfg.sweep = spec;
     cfg.jobs = 2;
     cfg.cache_dir = cache_dir;
     std::string err;
-    const bool ok = runFleet(cfg, out, &err);
+    const bool ok = runExploration(cfg, out, &err);
     EXPECT_TRUE(ok) << err;
     return ok;
 }
 
 std::string
-renderCsv(const FleetReport &r)
+renderCsv(const ExploreReport &r)
 {
     std::ostringstream os;
     writeFleetCsv(os, r);
@@ -377,7 +437,7 @@ renderCsv(const FleetReport &r)
 }
 
 std::string
-renderMd(const FleetReport &r)
+renderMd(const ExploreReport &r)
 {
     std::ostringstream os;
     writeFleetMarkdown(os, r);
@@ -392,11 +452,11 @@ TEST(Fleet, WarmCacheExecutesNothing)
     // A stale cache from a previous test run would make the "cold"
     // leg warm; start from an empty directory every time.
     const std::string dir =
-        ::testing::TempDir() + "wlcache_fleet_warm";
+        ::testing::TempDir() + "wlc_fleet_warm";
     std::filesystem::remove_all(dir);
-    const FleetSpec spec = smallFleet();
+    const SweepSpec spec = smallFleet();
 
-    FleetReport cold, warm;
+    ExploreReport cold, warm;
     ASSERT_TRUE(runSmall(spec, cold, dir));
     EXPECT_EQ(cold.total_runs, 6u); // 2 points x 3 nodes
     EXPECT_EQ(cold.executed, 6u);
@@ -413,21 +473,19 @@ TEST(Fleet, WarmCacheExecutesNothing)
 TEST(Fleet, InvalidCacheGeometryFailsBeforeAnyRun)
 {
     setQuiet(true);
-    const FleetSpec spec = parseOk(R"({
+    const SweepSpec spec = parseOk(R"({
         "name": "bad-geometry",
         "nodes": 2,
-        "sweep": {
-            "base": {"design": "wl", "workload": "sha",
-                     "power": "trace1"},
-            "axes": [{"param": "icache.size_bytes",
-                      "values": [8192, 3000]}]
-        }
+        "base": {"design": "wl", "workload": "sha",
+                 "power": "trace1"},
+        "axes": [{"param": "icache.size_bytes",
+                  "values": [8192, 3000]}]
     })");
-    FleetConfig cfg;
-    cfg.spec = spec;
-    FleetReport report;
+    ExploreConfig cfg;
+    cfg.sweep = spec;
+    ExploreReport report;
     std::string err;
-    EXPECT_FALSE(runFleet(cfg, report, &err));
+    EXPECT_FALSE(runExploration(cfg, report, &err));
     EXPECT_NE(err.find("point 'icache.size_bytes=3000': invalid icache "
                        "geometry (size_bytes=3000, assoc=2, "
                        "line_bytes=64)"),
@@ -440,17 +498,17 @@ TEST(Fleet, InvalidCacheGeometryFailsBeforeAnyRun)
 TEST(Fleet, NodesSeeDistinctTracesAndMixedWorkloads)
 {
     setQuiet(true);
-    const FleetSpec spec = smallFleet();
-    FleetReport report;
+    const SweepSpec spec = smallFleet();
+    ExploreReport report;
     ASSERT_TRUE(runSmall(spec, report, ""));
     ASSERT_EQ(report.outcomes.size(), 2u);
 
     for (const auto &o : report.outcomes) {
         ASSERT_EQ(o.nodes.size(), 3u);
         // Mix assignment is round-robin over the weight pattern.
-        EXPECT_EQ(o.nodes[0].workload, "sha");
-        EXPECT_EQ(o.nodes[1].workload, "sha");
-        EXPECT_EQ(o.nodes[2].workload, "qsort");
+        EXPECT_EQ(o.nodes[0].spec.workload, "sha");
+        EXPECT_EQ(o.nodes[1].spec.workload, "sha");
+        EXPECT_EQ(o.nodes[2].spec.workload, "qsort");
         // Distinct node ids derive distinct traces, so the two sha
         // nodes of one point must not collapse to one cache key.
         EXPECT_NE(o.nodes[0].run_key, o.nodes[1].run_key);

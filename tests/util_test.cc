@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 
@@ -71,6 +72,33 @@ TEST(Strings, StartsWith)
 TEST(Strings, ToLower)
 {
     EXPECT_EQ(toLower("WL-Cache"), "wl-cache");
+}
+
+TEST(Strings, ParseWholeNumberAcceptsOnlyWholeNumbers)
+{
+    unsigned v = 0;
+    EXPECT_TRUE(parseWholeNumber("1", v));
+    EXPECT_EQ(v, 1u);
+    EXPECT_TRUE(parseWholeNumber("4294967295", v));
+    EXPECT_EQ(v, 4294967295u);
+    // Rejections leave the output untouched.
+    for (const char *bad : { "", "0", "2x", "abc", "+1", "-1", " 1",
+                             "1 ", "1.0", "4294967296" }) {
+        EXPECT_FALSE(parseWholeNumber(bad, v)) << '"' << bad << '"';
+        EXPECT_EQ(v, 4294967295u);
+    }
+}
+
+TEST(Strings, EnvWholeNumberIsFatalOnMalformedValues)
+{
+    ::unsetenv("WLCACHE_TEST_WHOLE");
+    EXPECT_EQ(envWholeNumber("WLCACHE_TEST_WHOLE", 7), 7u);
+    ::setenv("WLCACHE_TEST_WHOLE", "3", 1);
+    EXPECT_EQ(envWholeNumber("WLCACHE_TEST_WHOLE", 7), 3u);
+    ::setenv("WLCACHE_TEST_WHOLE", "2x", 1);
+    EXPECT_DEATH(envWholeNumber("WLCACHE_TEST_WHOLE", 7),
+                 "WLCACHE_TEST_WHOLE='2x'");
+    ::unsetenv("WLCACHE_TEST_WHOLE");
 }
 
 TEST(StatMath, GeoMeanBasics)

@@ -103,7 +103,7 @@ main(int argc, char **argv)
         .option("jitter", "0",
                 "derive a node-local trace with this gain spread");
     if (!args.parse(argc, argv))
-        return 1;
+        return args.helpRequested() ? 0 : 1;
     if (args.positional().empty()) {
         std::cerr << "usage: power_trace_tool gen|info|estimate "
                      "[file] [options]\n"

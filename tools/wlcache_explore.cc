@@ -3,7 +3,12 @@
  * Design-space exploration driver: expand a declarative JSON sweep
  * spec into concrete experiments, evaluate them through the parallel
  * runner (content-addressed caching makes explorations resumable),
- * and report the Pareto frontier over the chosen objectives.
+ * and report the Pareto frontier over the chosen objectives. A spec
+ * with `nodes` is a fleet: every point runs on N intermittently
+ * powered nodes sharing one ambient environment (correlated but
+ * jittered power traces, a workload mix), and the fleet report
+ * ranks points by fleet objectives (forward-progress percentiles,
+ * fleet-total and worst-line NVM wear, deadline misses).
  *
  * Examples:
  *   # Exhaustive 2-axis sweep, frontier on time vs NVM writes:
@@ -15,6 +20,10 @@
  *   wlcache_explore --spec sweep.json \
  *                   --objective time --objective nvm_writes \
  *                   --objective hw_area
+ *
+ *   # A 6-node fleet over the same kind of sweep:
+ *   wlcache_explore --spec examples/sweeps/fleet_smoke.json \
+ *                   --csv points.csv --report fleet.md
  *
  *   # CI warm-cache check: fail unless everything is served from
  *   # the result cache:
@@ -33,7 +42,6 @@
 #include "sim/logging.hh"
 #include "util/arg_parser.hh"
 #include "util/strings.hh"
-#include "util/table.hh"
 
 using namespace wlcache;
 
@@ -78,7 +86,7 @@ main(int argc, char **argv)
                 "result-cache directory (empty = no cache)")
         .option("csv", "", "write all evaluated points as CSV here")
         .option("report", "",
-                "write the Markdown frontier report here")
+                "write the Markdown frontier (or fleet) report here")
         .flag("progress", "per-job progress lines on stderr")
         .flag("require-warm",
               "fail unless every run was served from the result "
@@ -86,7 +94,7 @@ main(int argc, char **argv)
         .flag("list-params", "list sweepable parameters and exit")
         .flag("list-objectives", "list objectives and exit");
     if (!args.parse(argc, argv))
-        return 1;
+        return args.helpRequested() ? 0 : 1;
 
     if (args.getFlag("list-params")) {
         for (const auto &[name, help] : explore::listParams())
@@ -95,7 +103,7 @@ main(int argc, char **argv)
     }
     if (args.getFlag("list-objectives")) {
         for (const auto &d : explore::allObjectives())
-            std::cout << util::padRight(d.name, 14) << d.help
+            std::cout << util::padRight(d.name, 23) << d.help
                       << "\n";
         return 0;
     }
@@ -126,17 +134,28 @@ main(int argc, char **argv)
     if (!explore::runExploration(cfg, report, &err))
         fatal("%s: %s", spec_path.c_str(), err.c_str());
 
-    // Frontier summary on stdout.
-    explore::writeSummaryText(std::cout, report);
+    // Frontier summary on stdout; a fleet document gets the fleet
+    // report formats.
+    const bool fleet = cfg.sweep.nodes != 0;
+    if (fleet)
+        explore::writeFleetSummaryText(std::cout, report);
+    else
+        explore::writeSummaryText(std::cout, report);
 
     if (!args.get("csv").empty()) {
         std::ostringstream ss;
-        explore::writeCsv(ss, report);
+        if (fleet)
+            explore::writeFleetCsv(ss, report);
+        else
+            explore::writeCsv(ss, report);
         writeFileOrDie(args.get("csv"), ss.str());
     }
     if (!args.get("report").empty()) {
         std::ostringstream ss;
-        explore::writeFrontierMarkdown(ss, report, cfg.cache_dir);
+        if (fleet)
+            explore::writeFleetMarkdown(ss, report);
+        else
+            explore::writeFrontierMarkdown(ss, report, cfg.cache_dir);
         writeFileOrDie(args.get("report"), ss.str());
     }
 

@@ -263,7 +263,7 @@ main(int argc, char **argv)
         .option("manifest", "", "write a batch manifest JSON here")
         .flag("no-progress", "suppress batch progress on stderr");
     if (!args.parse(argc, argv))
-        return 1;
+        return args.helpRequested() ? 0 : 1;
 
     if (!args.get("debug").empty()) {
         std::uint32_t mask = 0;

@@ -126,7 +126,7 @@ main(int argc, char **argv)
         .option("json", "", "write the campaign report JSON here")
         .flag("progress", "per-job progress lines on stderr");
     if (!args.parse(argc, argv))
-        return 1;
+        return args.helpRequested() ? 0 : 1;
 
     energy::TraceKind kind = energy::TraceKind::Constant;
     bool no_failure = true;
