@@ -5,7 +5,9 @@
  * NVM writes, outages, final-state digest) in
  * tests/golden/stats_snapshots.txt. The simulator is deterministic,
  * so ANY drift in these numbers means behavior changed — this test
- * turns silent drift into a loud diff.
+ * turns silent drift into a loud diff. The last column is the
+ * FNV-1a-128 of the whole run record (writeRunResultJson), so it also
+ * pins the record's bytes: every field, its order and its formatting.
  *
  * After an intentional behavioral change, regenerate with:
  *   ./stats_snapshot_test --update-snapshots
@@ -22,6 +24,8 @@
 #include <gtest/gtest.h>
 
 #include "nvp/experiment.hh"
+#include "nvp/run_json.hh"
+#include "util/strings.hh"
 
 using namespace wlcache;
 
@@ -65,12 +69,15 @@ struct Snapshot
     std::uint64_t nvm_writes = 0;
     std::uint64_t outages = 0;
     std::string digest;
+    /** FNV-1a-128 of the run record's JSON bytes. */
+    std::string record;
 
     bool
     operator==(const Snapshot &o) const
     {
         return cycles == o.cycles && nvm_writes == o.nvm_writes &&
-            outages == o.outages && digest == o.digest;
+            outages == o.outages && digest == o.digest &&
+            record == o.record;
     }
 };
 
@@ -95,6 +102,10 @@ runCombo(const Combo &c)
     s.nvm_writes = r.nvm_writes;
     s.outages = r.outages;
     s.digest = r.final_state_digest;
+    std::ostringstream json;
+    nvp::writeRunResultJson(json, r);
+    const std::string bytes = json.str();
+    s.record = util::fnv1a128Hex(bytes.data(), bytes.size());
     return s;
 }
 
@@ -111,7 +122,7 @@ loadSnapshots()
         std::string key;
         Snapshot s;
         if (ls >> key >> s.cycles >> s.nvm_writes >> s.outages >>
-            s.digest)
+            s.digest >> s.record)
             out[key] = s;
     }
     return out;
@@ -126,12 +137,12 @@ TEST(StatsSnapshot, MatchesGoldenReference)
         out << "# Golden statistics snapshots "
                "(stats_snapshot_test --update-snapshots).\n"
             << "# design/workload cycles nvm_writes outages "
-               "final_state_digest\n";
+               "final_state_digest record_fnv128\n";
         for (const Combo &c : combos()) {
             const Snapshot s = runCombo(c);
             out << comboKey(c) << ' ' << s.cycles << ' '
                 << s.nvm_writes << ' ' << s.outages << ' '
-                << s.digest << '\n';
+                << s.digest << ' ' << s.record << '\n';
         }
         GTEST_SKIP() << "snapshots regenerated, commit "
                      << kSnapshotFile;
@@ -156,7 +167,8 @@ TEST(StatsSnapshot, MatchesGoldenReference)
             << " -> " << now.nvm_writes << "\n  outages    "
             << it->second.outages << " -> " << now.outages
             << "\n  digest     " << it->second.digest << " -> "
-            << now.digest
+            << now.digest << "\n  record     " << it->second.record
+            << " -> " << now.record
             << "\nIf this change is intentional, regenerate with "
                "stats_snapshot_test --update-snapshots and commit "
                "the new snapshot file.";
