@@ -110,6 +110,8 @@ class EnergyMeter
     /** Restore a state saved with saveState(). */
     void restoreState(SnapshotReader &r);
 
+    bool operator==(const EnergyMeter &) const = default;
+
   private:
     std::array<Attojoules, kNumCategories> aj_{};
 

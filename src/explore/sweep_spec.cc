@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "explore/objectives.hh"
 #include "mem/device/tech_profile.hh"
@@ -63,6 +64,11 @@ boolValue(bool b)
 
 namespace {
 
+/** ParamDef::int_max for each integral target field type. */
+constexpr std::uint64_t kUintMax = std::numeric_limits<unsigned>::max();
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kSizeMax = std::numeric_limits<std::size_t>::max();
+
 /** ParamDef check: a replacement-policy name. */
 bool
 checkReplName(const ParamValue &v, std::string &why)
@@ -84,8 +90,11 @@ struct ParamDef
     const char *name;
     std::string help;
     ParamValue::Kind type;
-    /** Numbers must be integral (unsigned fields). */
-    bool integral = false;
+    /**
+     * Integral params: the largest value the target field holds
+     * (numbers must be whole and at most this). 0 for real params.
+     */
+    std::uint64_t int_max = 0;
     /** Minimum accepted numeric value. */
     double min_num = 0.0;
     void (*apply_spec)(nvp::ExperimentSpec &, const ParamValue &)
@@ -104,7 +113,7 @@ paramDefs()
     using Cfg = nvp::SystemConfig;
     static const std::vector<ParamDef> defs = {
         { "design", "cache design: " + nvp::designKindCliNameList(),
-          PV::Kind::String, false, 0.0,
+          PV::Kind::String, 0, 0.0,
           [](Spec &s, const PV &v) {
               const bool ok =
                   nvp::designKindFromCliName(v.text, s.design);
@@ -120,7 +129,7 @@ paramDefs()
               return false;
           } },
         { "workload", "benchmark kernel name (e.g. sha, qsort, FFT)",
-          PV::Kind::String, false, 0.0,
+          PV::Kind::String, 0, 0.0,
           [](Spec &s, const PV &v) { s.workload = v.text; },
           nullptr,
           [](const PV &v, std::string &why) {
@@ -132,7 +141,7 @@ paramDefs()
         { "power",
           "ambient environment: " + energy::powerCliNameList() +
               " (none/infinite: no outages)",
-          PV::Kind::String, false, 0.0,
+          PV::Kind::String, 0, 0.0,
           [](Spec &s, const PV &v) {
               const bool ok = energy::powerFromCliName(
                   v.text, s.power, s.no_failure);
@@ -149,19 +158,19 @@ paramDefs()
               return false;
           } },
         { "scale", "workload input scale factor (>= 1)",
-          PV::Kind::Number, true, 1.0,
+          PV::Kind::Number, kUintMax, 1.0,
           [](Spec &s, const PV &v) {
               s.scale = static_cast<unsigned>(v.num);
           },
           nullptr, nullptr },
         { "workload_seed", "workload input seed",
-          PV::Kind::Number, true, 0.0,
+          PV::Kind::Number, kU64Max, 0.0,
           [](Spec &s, const PV &v) {
               s.workload_seed = static_cast<std::uint64_t>(v.num);
           },
           nullptr, nullptr },
         { "power_seed", "power trace seed",
-          PV::Kind::Number, true, 0.0,
+          PV::Kind::Number, kU64Max, 0.0,
           [](Spec &s, const PV &v) {
               s.power_seed = static_cast<std::uint64_t>(v.num);
           },
@@ -169,14 +178,14 @@ paramDefs()
         { "power_node",
           "fleet node id: derives a node-local power trace when "
           "power_jitter > 0",
-          PV::Kind::Number, true, 0.0,
+          PV::Kind::Number, kU64Max, 0.0,
           [](Spec &s, const PV &v) {
               s.power_node = static_cast<std::uint64_t>(v.num);
           },
           nullptr, nullptr },
         { "power_jitter",
           "per-node power gain spread (0 disables trace derivation)",
-          PV::Kind::Number, false, 0.0,
+          PV::Kind::Number, 0, 0.0,
           [](Spec &s, const PV &v) { s.power_jitter = v.num; },
           nullptr,
           [](const PV &v, std::string &why) {
@@ -186,20 +195,20 @@ paramDefs()
               return false;
           } },
         { "dcache.size_bytes", "L1 D-cache size in bytes",
-          PV::Kind::Number, true, 1.0, nullptr,
+          PV::Kind::Number, kSizeMax, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.dcache.size_bytes = static_cast<std::size_t>(v.num);
           },
           nullptr },
         { "dcache.assoc", "L1 D-cache associativity",
-          PV::Kind::Number, true, 1.0, nullptr,
+          PV::Kind::Number, kUintMax, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.dcache.assoc = static_cast<unsigned>(v.num);
           },
           nullptr },
         { "dcache.line_bytes",
           "L1 D-cache line size in bytes (power of two, <= 256)",
-          PV::Kind::Number, true, 1.0, nullptr,
+          PV::Kind::Number, kUintMax, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.dcache.line_bytes = static_cast<unsigned>(v.num);
           },
@@ -213,80 +222,80 @@ paramDefs()
               return false;
           } },
         { "dcache.repl", "L1 D-cache replacement policy: lru|fifo",
-          PV::Kind::String, false, 0.0, nullptr,
+          PV::Kind::String, 0, 0.0, nullptr,
           [](Cfg &c, const PV &v) {
               const bool ok = cache::replPolicyFromName(v.text, c.dcache.repl);
               wlc_assert(ok, "unvalidated policy '%s'", v.text.c_str());
           },
           checkReplName },
         { "icache.size_bytes", "L1 I-cache size in bytes",
-          PV::Kind::Number, true, 1.0, nullptr,
+          PV::Kind::Number, kSizeMax, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.icache.size_bytes = static_cast<std::size_t>(v.num);
           },
           nullptr },
         { "wl.maxline", "WL-Cache dirty-line bound (maxline)",
-          PV::Kind::Number, true, 1.0, nullptr,
+          PV::Kind::Number, kUintMax, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.wl.maxline = static_cast<unsigned>(v.num);
           },
           nullptr },
         { "wl.waterline_gap",
           "WL-Cache waterline gap (waterline = maxline - gap)",
-          PV::Kind::Number, true, 0.0, nullptr,
+          PV::Kind::Number, kUintMax, 0.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.wl.waterline_gap = static_cast<unsigned>(v.num);
           },
           nullptr },
         { "wl.dq_size", "WL-Cache DirtyQueue slots",
-          PV::Kind::Number, true, 1.0, nullptr,
+          PV::Kind::Number, kUintMax, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.wl.dq_size = static_cast<unsigned>(v.num);
           },
           nullptr },
         { "wl.dq_repl", "DirtyQueue replacement policy: lru|fifo",
-          PV::Kind::String, false, 0.0, nullptr,
+          PV::Kind::String, 0, 0.0, nullptr,
           [](Cfg &c, const PV &v) {
               const bool ok = cache::replPolicyFromName(v.text, c.wl.dq_repl);
               wlc_assert(ok, "unvalidated policy '%s'", v.text.c_str());
           },
           checkReplName },
         { "adaptive.enabled", "boot-time adaptive maxline management",
-          PV::Kind::Bool, false, 0.0, nullptr,
+          PV::Kind::Bool, 0, 0.0, nullptr,
           [](Cfg &c, const PV &v) { c.adaptive.enabled = v.b; },
           nullptr },
         { "adaptive.maxline_min", "adaptive maxline lower bound",
-          PV::Kind::Number, true, 1.0, nullptr,
+          PV::Kind::Number, kUintMax, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.adaptive.maxline_min = static_cast<unsigned>(v.num);
           },
           nullptr },
         { "adaptive.maxline_max", "adaptive maxline upper bound",
-          PV::Kind::Number, true, 1.0, nullptr,
+          PV::Kind::Number, kUintMax, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.adaptive.maxline_max = static_cast<unsigned>(v.num);
           },
           nullptr },
         { "wl_dynamic", "WL-Cache opportunistic dynamic adaptation",
-          PV::Kind::Bool, false, 0.0, nullptr,
+          PV::Kind::Bool, 0, 0.0, nullptr,
           [](Cfg &c, const PV &v) { c.wl_dynamic = v.b; },
           nullptr },
         { "platform.capacitance_f", "storage capacitor in farads",
-          PV::Kind::Number, false, 1.0e-12, nullptr,
+          PV::Kind::Number, 0, 1.0e-12, nullptr,
           [](Cfg &c, const PV &v) {
               c.platform.capacitance_f = v.num;
           },
           nullptr },
         { "platform.vbackup", "JIT-checkpoint voltage threshold",
-          PV::Kind::Number, false, 0.0, nullptr,
+          PV::Kind::Number, 0, 0.0, nullptr,
           [](Cfg &c, const PV &v) { c.platform.vbackup = v.num; },
           nullptr },
         { "platform.von", "restore (boot) voltage", PV::Kind::Number,
-          false, 0.0, nullptr,
+          0, 0.0, nullptr,
           [](Cfg &c, const PV &v) { c.platform.von = v.num; },
           nullptr },
         { "max_outages", "give up after this many power failures",
-          PV::Kind::Number, true, 1.0, nullptr,
+          PV::Kind::Number, kU64Max, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.max_outages = static_cast<std::uint64_t>(v.num);
           },
@@ -294,7 +303,7 @@ paramDefs()
         { "nvm.tech",
           "NVM technology profile: reram|stt-ram|fram|flash "
           "(sets timing, energy, endurance, verify retries)",
-          PV::Kind::String, false, 0.0, nullptr,
+          PV::Kind::String, 0, 0.0, nullptr,
           [](Cfg &c, const PV &v) {
               const mem::NvmTechProfile *p =
                   mem::findTechProfile(v.text);
@@ -310,7 +319,7 @@ paramDefs()
               return false;
           } },
         { "nvm.model", "NVM timing model: legacy|banked",
-          PV::Kind::String, false, 0.0, nullptr,
+          PV::Kind::String, 0, 0.0, nullptr,
           [](Cfg &c, const PV &v) {
               const bool ok =
                   mem::nvmModelFromName(v.text, c.nvm.model);
@@ -325,31 +334,31 @@ paramDefs()
               return false;
           } },
         { "nvm.banks", "NVM bank count (beat-interleaved)",
-          PV::Kind::Number, true, 1.0, nullptr,
+          PV::Kind::Number, kUintMax, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.nvm.banks = static_cast<unsigned>(v.num);
           },
           nullptr },
         { "nvm.queue_depth",
           "per-bank request queue depth (banked model)",
-          PV::Kind::Number, true, 1.0, nullptr,
+          PV::Kind::Number, kUintMax, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.nvm.queue_depth = static_cast<unsigned>(v.num);
           },
           nullptr },
         { "nvm.row_bytes", "NVM row-buffer size in bytes",
-          PV::Kind::Number, true, 1.0, nullptr,
+          PV::Kind::Number, kUintMax, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.nvm.row_bytes = static_cast<unsigned>(v.num);
           },
           nullptr },
         { "nvm.track_wear", "track per-line NVM write counts",
-          PV::Kind::Bool, false, 0.0, nullptr,
+          PV::Kind::Bool, 0, 0.0, nullptr,
           [](Cfg &c, const PV &v) { c.nvm.track_wear = v.b; },
           nullptr },
         { "nvm.endurance_writes",
           "per-line write-cycle budget (lifetime headroom baseline)",
-          PV::Kind::Number, true, 1.0, nullptr,
+          PV::Kind::Number, kU64Max, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.nvm.endurance_writes =
                   static_cast<std::uint64_t>(v.num);
@@ -357,7 +366,7 @@ paramDefs()
           nullptr },
         { "nvm.wear_scheme",
           "wear-leveling address rotation: none|rotate",
-          PV::Kind::String, false, 0.0, nullptr,
+          PV::Kind::String, 0, 0.0, nullptr,
           [](Cfg &c, const PV &v) {
               const bool ok =
                   mem::nvmWearSchemeFromName(v.text,
@@ -375,7 +384,7 @@ paramDefs()
           } },
         { "nvm.rotate_period_writes",
           "writes between wear-rotation steps",
-          PV::Kind::Number, true, 1.0, nullptr,
+          PV::Kind::Number, kU64Max, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.nvm.rotate_period_writes =
                   static_cast<std::uint64_t>(v.num);
@@ -383,14 +392,14 @@ paramDefs()
           nullptr },
         { "nvm.hybrid_lines",
           "STT-RAM hybrid fast-region slots (0 disables)",
-          PV::Kind::Number, true, 0.0, nullptr,
+          PV::Kind::Number, kUintMax, 0.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.nvm.hybrid_lines = static_cast<unsigned>(v.num);
           },
           nullptr },
         { "nvm.hybrid_promote_writes",
           "writes to a line before hybrid promotion",
-          PV::Kind::Number, true, 1.0, nullptr,
+          PV::Kind::Number, kUintMax, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.nvm.hybrid_promote_writes =
                   static_cast<unsigned>(v.num);
@@ -398,21 +407,21 @@ paramDefs()
           nullptr },
         { "log.region_lines",
           "WL-Log journal region size in record slots",
-          PV::Kind::Number, true, 8.0, nullptr,
+          PV::Kind::Number, kUintMax, 8.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.log.region_lines = static_cast<unsigned>(v.num);
           },
           nullptr },
         { "log.segment_bytes",
           "WL-Log compaction-segment size in bytes",
-          PV::Kind::Number, true, 1.0, nullptr,
+          PV::Kind::Number, kUintMax, 1.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.log.segment_bytes = static_cast<unsigned>(v.num);
           },
           nullptr },
         { "log.compaction_watermark",
           "mapped-line fraction that triggers WL-Log compaction",
-          PV::Kind::Number, false, 0.0, nullptr,
+          PV::Kind::Number, 0, 0.0, nullptr,
           [](Cfg &c, const PV &v) {
               c.log.compaction_watermark = v.num;
           },
@@ -463,9 +472,15 @@ checkValue(const ParamDef &def, const ParamValue &v,
         return fail(std::string("parameter '") + def.name + "' wants " +
                     kindName(def.type) + ", got " + kindName(v.kind));
     if (v.kind == ParamValue::Kind::Number) {
-        if (def.integral && v.num != std::floor(v.num))
+        if (def.int_max && v.num != std::floor(v.num))
             return fail(std::string("parameter '") + def.name +
                         "' wants an integer, got " + v.text);
+        // Past the field's range the apply cast would be undefined.
+        if (def.int_max &&
+            v.num >= static_cast<double>(def.int_max) + 1.0)
+            return fail(std::string("parameter '") + def.name +
+                        "' wants a value <= " +
+                        std::to_string(def.int_max) + ", got " + v.text);
         if (v.num < def.min_num)
             return fail(std::string("parameter '") + def.name +
                         "' wants a value >= " +
@@ -503,53 +518,13 @@ scalarFromJson(const util::JsonValue &jv, ParamValue &out,
     }
 }
 
-/** Parse one {param: value, ...} object into ordered bindings. */
-bool
-parseBindings(const util::JsonValue &obj,
-              std::vector<ParamBinding> &out, const std::string &path,
-              std::string *err)
-{
-    if (!obj.isObject()) {
-        if (err)
-            *err = path + ": expected an object of parameter values";
-        return false;
-    }
-    for (const auto &[key, jv] : obj.members()) {
-        const std::string vpath = path + "." + key;
-        const ParamDef *def = findParam(key);
-        if (!def) {
-            if (err)
-                *err = vpath + ": unknown parameter '" + key + "'";
-            return false;
-        }
-        for (const auto &[prev, pv] : out) {
-            (void)pv;
-            if (prev == key) {
-                if (err)
-                    *err = vpath + ": duplicate parameter '" + key +
-                           "'";
-                return false;
-            }
-        }
-        ParamValue v;
-        if (!scalarFromJson(jv, v, vpath, err))
-            return false;
-        if (!checkValue(*def, v, vpath, err))
-            return false;
-        out.emplace_back(key, v);
-    }
-    return true;
-}
-
 bool
 hasBinding(const std::vector<ParamBinding> &bindings,
            const std::string &name)
 {
-    for (const auto &[k, v] : bindings) {
-        (void)v;
-        if (k == name)
+    for (const ParamBinding &b : bindings)
+        if (b.first == name)
             return true;
-    }
     return false;
 }
 
@@ -562,20 +537,42 @@ failAt(std::string *err, const std::string &path,
     return false;
 }
 
+/** Parse one {param: value, ...} object into ordered bindings. */
+bool
+parseBindings(const util::JsonValue &obj,
+              std::vector<ParamBinding> &out, const std::string &path,
+              std::string *err)
+{
+    if (!obj.isObject())
+        return failAt(err, path, "expected an object of parameter values");
+    for (const auto &[key, jv] : obj.members()) {
+        const std::string vpath = path + "." + key;
+        const ParamDef *def = findParam(key);
+        if (!def)
+            return failAt(err, vpath, "unknown parameter '" + key + "'");
+        if (hasBinding(out, key))
+            return failAt(err, vpath, "duplicate parameter '" + key + "'");
+        ParamValue v;
+        if (!scalarFromJson(jv, v, vpath, err) ||
+            !checkValue(*def, v, vpath, err))
+            return false;
+        out.emplace_back(key, v);
+    }
+    return true;
+}
+
 /** Integral JSON number >= @p min, or a diagnostic. */
 bool
 wantCount(const util::JsonValue &v, const std::string &path,
-          double min, std::uint64_t &out, std::string *err)
+          std::uint64_t min, std::uint64_t &out, std::string *err)
 {
-    if (!v.isNumber())
-        return failAt(err, path, "wants a number");
-    const double d = v.asDouble();
-    // 2^64 and up would overflow the conversion in asU64().
-    if (d != std::floor(d) || d < min || d >= 0x1p64)
+    const std::optional<std::uint64_t> n =
+        v.isNumber() ? v.asU64() : std::nullopt;
+    if (!n || *n < min)
         return failAt(err, path,
-                      "wants an integer >= " +
-                          std::to_string(static_cast<long long>(min)));
-    out = v.asU64();
+                      "wants an integer >= " + std::to_string(min) +
+                          " and < 2^64");
+    out = *n;
     return true;
 }
 
@@ -606,7 +603,7 @@ parseMix(const util::JsonValue &jv, const std::string &path,
                 entry.workload = ev.asString();
             } else if (ek == "weight") {
                 std::uint64_t w = 0;
-                if (!wantCount(ev, epath + ".weight", 1.0, w, err))
+                if (!wantCount(ev, epath + ".weight", 1, w, err))
                     return false;
                 if (w > 1024)
                     return failAt(err, epath + ".weight",
@@ -639,25 +636,21 @@ checkNoNodeBindings(const SweepSpec &spec, std::string *err)
 {
     const std::string why = "a fleet sets power_node and power_jitter "
                             "per node; bind neither";
-    for (const auto &[k, v] : spec.base) {
-        (void)v;
-        if (isNodeParam(k))
-            return failAt(err, "$.base." + k, why);
-    }
+    for (const ParamBinding &b : spec.base)
+        if (isNodeParam(b.first))
+            return failAt(err, "$.base." + b.first, why);
     for (std::size_t i = 0; i < spec.axes.size(); ++i)
         if (isNodeParam(spec.axes[i].param))
             return failAt(err,
                           "$.axes[" + std::to_string(i) + "].param",
                           why);
     for (std::size_t p = 0; p < spec.points.size(); ++p)
-        for (const auto &[k, v] : spec.points[p]) {
-            (void)v;
-            if (isNodeParam(k))
+        for (const ParamBinding &b : spec.points[p])
+            if (isNodeParam(b.first))
                 return failAt(err,
                               "$.points[" + std::to_string(p) + "]." +
-                                  k,
+                                  b.first,
                               why);
-        }
     for (std::size_t i = 0; i < spec.derived.size(); ++i)
         if (isNodeParam(spec.derived[i].param))
             return failAt(err,
@@ -896,7 +889,7 @@ parseSweepSpec(const std::string &json_text, SweepSpec &out,
             }
         } else if (key == "nodes") {
             std::uint64_t n = 0;
-            if (!wantCount(jv, path, 1.0, n, err))
+            if (!wantCount(jv, path, 1, n, err))
                 return false;
             if (n > 4096)
                 return failAt(err, path, "wants at most 4096 nodes");
@@ -909,7 +902,7 @@ parseSweepSpec(const std::string &json_text, SweepSpec &out,
                 return failAt(err, path, "jitter must be in [0, 2]");
             spec.jitter = j;
         } else if (key == "deadline_cycles") {
-            if (!wantCount(jv, path, 0.0, spec.deadline_cycles, err))
+            if (!wantCount(jv, path, 0, spec.deadline_cycles, err))
                 return false;
         } else if (key == "mix") {
             if (!parseMix(jv, path, spec.mix, err))
@@ -1029,11 +1022,9 @@ finishPoint(const SweepSpec &spec,
         ParamValue v = src->kind == ParamValue::Kind::Number
                            ? numValue(src->num * d.mul + d.add)
                            : *src;
-        std::string why;
         const ParamDef *def = findParam(d.param);
         if (!checkValue(*def, v, "derived '" + d.param + "'", err))
             return false;
-        (void)why;
         bindings.emplace_back(d.param, std::move(v));
     }
 

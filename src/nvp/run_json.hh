@@ -3,7 +3,9 @@
  * Machine-readable run records: serialize a RunResult as JSON so
  * external tooling (plotters, regression dashboards) can consume
  * simulation results without scraping tables, and parse one back so
- * the runner's result cache can skip finished simulations.
+ * the runner's result cache can skip finished simulations. The same
+ * field list (run_json.cc) drives the snapshot's "RES " section, so a
+ * new RunResult field is one line there.
  */
 
 #ifndef WLCACHE_NVP_RUN_JSON_HH
@@ -15,6 +17,7 @@
 #include <string>
 
 #include "nvp/system.hh"
+#include "sim/snapshot.hh"
 
 namespace wlcache {
 namespace nvp {
@@ -54,6 +57,12 @@ void writeRunResultJson(std::ostream &os, const RunResult &r);
  */
 bool readRunResultJson(std::istream &is, RunResult &out,
                        std::string *err = nullptr);
+
+/** Write every RunResult field as a snapshot's "RES " section. */
+void saveRunResult(SnapshotWriter &w, const RunResult &r);
+
+/** Read a "RES " section written by saveRunResult() into @p out. */
+void restoreRunResult(SnapshotReader &r, RunResult &out);
 
 } // namespace nvp
 } // namespace wlcache

@@ -34,8 +34,11 @@ struct SystemSnapshot
      * SYS2 carries the quantized backup level).
      * 4 = NVM row-buffer and log-journal counters in the RES section;
      * WL-Log designs append an NLOG journal section.
+     * 5 = the RES section follows the run record's one field list
+     * (JSON order: intervals_dropped before the intervals, the
+     * energy meter last).
      */
-    static constexpr std::uint32_t kFormatVersion = 4;
+    static constexpr std::uint32_t kFormatVersion = 5;
 
     /**
      * Resume-compatibility key: hash of every configuration and trace

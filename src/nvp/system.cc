@@ -7,6 +7,7 @@
 #include "cache/replay_cache.hh"
 #include "core/wl_log_cache.hh"
 #include "cpu/register_file.hh"
+#include "nvp/run_json.hh"
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
 #include "sim/trace_log.hh"
@@ -530,168 +531,6 @@ SystemSim::computeFinalDigest()
     }
     res_.final_state_digest = util::fnv1a128Hex(img.data(), img.size());
 }
-
-namespace {
-
-/** Serialize every RunResult field ("RES " section). */
-void
-saveRunResult(SnapshotWriter &w, const RunResult &res)
-{
-    w.section("RES ");
-    w.str(res.workload);
-    w.u8(static_cast<std::uint8_t>(res.design));
-    w.b(res.completed);
-    w.u64(res.on_cycles);
-    w.f64(res.off_seconds);
-    w.f64(res.total_seconds);
-    w.u64(res.instructions);
-    w.u64(res.trace_events);
-    w.u64(res.replayed_events);
-    w.u64(res.outages);
-    w.u64(res.reserve_violations);
-    res.meter.saveState(w);
-    w.u64(res.nvm_writes);
-    w.u64(res.nvm_bytes_written);
-    w.u64(res.nvm_reads);
-    w.u64(res.nvm_bank_conflicts);
-    w.u64(res.nvm_queue_stall_cycles);
-    w.u64(res.nvm_turnaround_stall_cycles);
-    w.u64(res.nvm_wear_max);
-    w.u64(res.nvm_wear_lines_touched);
-    w.u64(res.nvm_lifetime_headroom);
-    w.f64(res.nvm_write_p99_latency);
-    w.u64(res.nvm_row_hits);
-    w.u64(res.nvm_row_misses);
-    w.u64(res.log_appended_records);
-    w.u64(res.log_appended_bytes);
-    w.u64(res.log_replays);
-    w.u64(res.log_replayed_records);
-    w.u64(res.log_replayed_bytes);
-    w.u64(res.log_compactions);
-    w.u64(res.log_compacted_lines);
-    w.u64(res.log_compacted_bytes);
-    w.u64(res.log_live_lines);
-    w.f64(res.dcache_load_hit_rate);
-    w.f64(res.dcache_store_hit_rate);
-    w.u64(res.store_stall_cycles);
-    w.u32(res.reconfigurations);
-    w.u32(res.maxline_min_seen);
-    w.u32(res.maxline_max_seen);
-    w.f64(res.prediction_accuracy);
-    w.f64(res.avg_dirty_at_ckpt);
-    w.f64(res.writebacks_per_on_period);
-    w.u64(res.dyn_maxline_raises);
-    w.u64(res.consistency_checks);
-    w.u64(res.consistency_violations);
-    w.u64(res.load_value_mismatches);
-    w.b(res.final_state_correct);
-    w.u64(res.forced_outages);
-    w.u64(res.register_restore_mismatches);
-    w.b(res.divergence);
-    w.b(res.has_first_divergence);
-    w.str(res.first_divergence_kind);
-    w.u64(res.first_divergence_addr);
-    w.u64(res.first_divergence_cycle);
-    w.u64(res.first_divergence_outage);
-    w.str(res.final_state_digest);
-    w.str(res.stats_json);
-    w.u64(res.intervals.size());
-    for (const telemetry::IntervalRollup &iv : res.intervals) {
-        w.u64(iv.index);
-        w.u64(iv.start_cycle);
-        w.u64(iv.end_cycle);
-        w.u64(iv.instructions);
-        w.u64(iv.nvm_writes);
-        w.u64(iv.cleans);
-        w.u32(iv.dirty_high_water);
-        w.f64(iv.checkpoint_j);
-        w.f64(iv.harvested_j);
-    }
-    w.u64(res.intervals_dropped);
-}
-
-/** Mirror of saveRunResult(). */
-void
-restoreRunResult(SnapshotReader &r, RunResult &res)
-{
-    r.section("RES ");
-    res.workload = r.str();
-    res.design = static_cast<DesignKind>(r.u8());
-    res.completed = r.b();
-    res.on_cycles = r.u64();
-    res.off_seconds = r.f64();
-    res.total_seconds = r.f64();
-    res.instructions = r.u64();
-    res.trace_events = r.u64();
-    res.replayed_events = r.u64();
-    res.outages = r.u64();
-    res.reserve_violations = r.u64();
-    res.meter.restoreState(r);
-    res.nvm_writes = r.u64();
-    res.nvm_bytes_written = r.u64();
-    res.nvm_reads = r.u64();
-    res.nvm_bank_conflicts = r.u64();
-    res.nvm_queue_stall_cycles = r.u64();
-    res.nvm_turnaround_stall_cycles = r.u64();
-    res.nvm_wear_max = r.u64();
-    res.nvm_wear_lines_touched = r.u64();
-    res.nvm_lifetime_headroom = r.u64();
-    res.nvm_write_p99_latency = r.f64();
-    res.nvm_row_hits = r.u64();
-    res.nvm_row_misses = r.u64();
-    res.log_appended_records = r.u64();
-    res.log_appended_bytes = r.u64();
-    res.log_replays = r.u64();
-    res.log_replayed_records = r.u64();
-    res.log_replayed_bytes = r.u64();
-    res.log_compactions = r.u64();
-    res.log_compacted_lines = r.u64();
-    res.log_compacted_bytes = r.u64();
-    res.log_live_lines = r.u64();
-    res.dcache_load_hit_rate = r.f64();
-    res.dcache_store_hit_rate = r.f64();
-    res.store_stall_cycles = r.u64();
-    res.reconfigurations = r.u32();
-    res.maxline_min_seen = r.u32();
-    res.maxline_max_seen = r.u32();
-    res.prediction_accuracy = r.f64();
-    res.avg_dirty_at_ckpt = r.f64();
-    res.writebacks_per_on_period = r.f64();
-    res.dyn_maxline_raises = r.u64();
-    res.consistency_checks = r.u64();
-    res.consistency_violations = r.u64();
-    res.load_value_mismatches = r.u64();
-    res.final_state_correct = r.b();
-    res.forced_outages = r.u64();
-    res.register_restore_mismatches = r.u64();
-    res.divergence = r.b();
-    res.has_first_divergence = r.b();
-    res.first_divergence_kind = r.str();
-    res.first_divergence_addr = r.u64();
-    res.first_divergence_cycle = r.u64();
-    res.first_divergence_outage = r.u64();
-    res.final_state_digest = r.str();
-    res.stats_json = r.str();
-    const std::uint64_t n_iv = r.u64();
-    res.intervals.clear();
-    res.intervals.reserve(n_iv);
-    for (std::uint64_t i = 0; i < n_iv; ++i) {
-        telemetry::IntervalRollup iv;
-        iv.index = r.u64();
-        iv.start_cycle = r.u64();
-        iv.end_cycle = r.u64();
-        iv.instructions = r.u64();
-        iv.nvm_writes = r.u64();
-        iv.cleans = r.u64();
-        iv.dirty_high_water = r.u32();
-        iv.checkpoint_j = r.f64();
-        iv.harvested_j = r.f64();
-        res.intervals.push_back(iv);
-    }
-    res.intervals_dropped = r.u64();
-}
-
-} // namespace
 
 SystemSnapshot
 SystemSim::takeSnapshot() const

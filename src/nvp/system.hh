@@ -160,6 +160,8 @@ struct RunResult
     std::vector<telemetry::IntervalRollup> intervals;
     /** Intervals not stored because the rollup cap was hit. */
     std::uint64_t intervals_dropped = 0;
+
+    bool operator==(const RunResult &) const = default;
 };
 
 /** Optional run-loop controls: snapshot capture and resume. */

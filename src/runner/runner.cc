@@ -13,6 +13,7 @@
 #include "runner/spec_key.hh"
 #include "sim/logging.hh"
 #include "util/fs.hh"
+#include "util/json.hh"
 #include "util/strings.hh"
 
 namespace wlcache {
@@ -134,17 +135,6 @@ Runner::writeManifest(const JobSet &set) const
 {
     std::ostringstream out;
 
-    auto esc = [](const std::string &s) {
-        std::string o;
-        o.reserve(s.size());
-        for (const char c : s) {
-            if (c == '"' || c == '\\')
-                o += '\\';
-            o += c;
-        }
-        return o;
-    };
-
     char wall[32];
     std::snprintf(wall, sizeof(wall), "%.6f", stats_.wall_seconds);
     out << "{\n"
@@ -154,7 +144,7 @@ Runner::writeManifest(const JobSet &set) const
         << "  \"total\": " << stats_.total << ",\n"
         << "  \"cache_hits\": " << stats_.cache_hits << ",\n"
         << "  \"executed\": " << stats_.executed << ",\n"
-        << "  \"cache_dir\": \"" << esc(cfg_.cache_dir) << "\",\n"
+        << "  \"cache_dir\": \"" << util::jsonEscape(cfg_.cache_dir) << "\",\n"
         << "  \"wall_seconds\": " << wall << ",\n"
         << "  \"results\": [\n";
     for (std::size_t i = 0; i < stats_.records.size(); ++i) {
@@ -165,9 +155,9 @@ Runner::writeManifest(const JobSet &set) const
                       1e3 * rec.wall_seconds);
         std::snprintf(ts, sizeof(ts), "%.6f", rec.t_start_s);
         std::snprintf(te, sizeof(te), "%.6f", rec.t_end_s);
-        out << "    {\"id\": \"" << esc(rec.id) << "\", \"key\": \""
+        out << "    {\"id\": \"" << util::jsonEscape(rec.id) << "\", \"key\": \""
             << rec.key << "\", \"workload\": \""
-            << esc(job.spec.workload) << "\", \"design\": \""
+            << util::jsonEscape(job.spec.workload) << "\", \"design\": \""
             << nvp::designKindName(job.spec.design)
             << "\", \"cached\": " << (rec.cached ? "true" : "false")
             << ", \"completed\": "

@@ -5,27 +5,11 @@
 
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
+#include "util/json.hh"
 #include "util/strings.hh"
 
 namespace wlcache {
 namespace stats {
-
-namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-} // anonymous namespace
 
 std::string
 Scalar::render() const
@@ -49,7 +33,7 @@ Scalar::writeJson(std::ostream &os) const
         os << u64_;   // Exact past 2^53.
     else
         os << util::fmtExact(value());
-    os << ",\"desc\":\"" << jsonEscape(desc()) << "\"}";
+    os << ",\"desc\":\"" << util::jsonEscape(desc()) << "\"}";
 }
 
 void
@@ -125,7 +109,7 @@ Distribution::writeJson(std::ostream &os) const
         first = false;
         os << '[' << i << ',' << buckets_[i] << ']';
     }
-    os << "],\"desc\":\"" << jsonEscape(desc()) << "\"}";
+    os << "],\"desc\":\"" << util::jsonEscape(desc()) << "\"}";
 }
 
 void
@@ -236,14 +220,14 @@ StatGroup::dumpJson(std::ostream &os) const
         if (!first)
             os << ',';
         first = false;
-        os << '"' << jsonEscape(s->name()) << "\":";
+        os << '"' << util::jsonEscape(s->name()) << "\":";
         s->writeJson(os);
     }
     for (const auto *c : children_) {
         if (!first)
             os << ',';
         first = false;
-        os << '"' << jsonEscape(c->name()) << "\":";
+        os << '"' << util::jsonEscape(c->name()) << "\":";
         c->dumpJson(os);
     }
     os << '}';

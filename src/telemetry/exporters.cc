@@ -5,6 +5,8 @@
 #include <ostream>
 #include <vector>
 
+#include "util/json.hh"
+
 namespace wlcache {
 namespace telemetry {
 
@@ -15,25 +17,6 @@ int
 trackTid(Track t)
 {
     return static_cast<int>(t) + 1;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-            continue;
-        }
-        out += c;
-    }
-    return out;
 }
 
 /** Cycle (ns) as trace-event ts (µs), exactly 3 decimals. */
@@ -78,8 +61,8 @@ emitMetadata(EventList &out, const ExportMeta &meta)
 {
     out.emit("\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
              "\"tid\":0,\"args\":{\"name\":\"wlcache " +
-             jsonEscape(meta.design) + "/" +
-             jsonEscape(meta.workload) + "\"}");
+             util::jsonEscape(meta.design) + "/" +
+             util::jsonEscape(meta.workload) + "\"}");
     for (std::size_t i = 0; i < kNumTracks; ++i) {
         const Track t = static_cast<Track>(i);
         out.emit("\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
@@ -101,7 +84,7 @@ emitInstant(EventList &out, const TimelineEvent &ev)
              "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":" +
              std::to_string(trackTid(eventTrack(ev.type))) +
              ",\"ts\":" + tsMicros(ev.cycle) +
-             ",\"args\":{\"comp\":\"" + jsonEscape(ev.comp) +
+             ",\"args\":{\"comp\":\"" + util::jsonEscape(ev.comp) +
              "\",\"a0\":" + std::to_string(ev.a0) +
              ",\"a1\":" + std::to_string(ev.a1) +
              ",\"v\":" + num(ev.v) +
@@ -212,8 +195,8 @@ writePerfettoJson(std::ostream &os, const TimelineBuffer &tl,
     os << "  \"otherData\": {\n";
     os << "    \"schema_version\": " << kTimelineSchemaVersion
        << ",\n";
-    os << "    \"design\": \"" << jsonEscape(meta.design) << "\",\n";
-    os << "    \"workload\": \"" << jsonEscape(meta.workload)
+    os << "    \"design\": \"" << util::jsonEscape(meta.design) << "\",\n";
+    os << "    \"workload\": \"" << util::jsonEscape(meta.workload)
        << "\",\n";
     os << "    \"events_recorded\": " << tl.totalRecorded() << ",\n";
     os << "    \"events_held\": " << tl.size() << ",\n";

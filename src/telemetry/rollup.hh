@@ -29,6 +29,8 @@ struct IntervalRollup
     unsigned dirty_high_water = 0; //!< Peak concurrently-dirty lines.
     double checkpoint_j = 0.0;     //!< Energy of the closing ckpt (J).
     double harvested_j = 0.0;      //!< Ambient energy taken in (J).
+
+    bool operator==(const IntervalRollup &) const = default;
 };
 
 } // namespace telemetry

@@ -1,6 +1,8 @@
 #include "util/json.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
@@ -24,16 +26,22 @@ JsonValue::asDouble() const
     return std::strtod(scalar_.c_str(), nullptr);
 }
 
-std::uint64_t
+std::optional<std::uint64_t>
 JsonValue::asU64() const
 {
     wlc_assert(isNumber());
-    // Integral tokens parse exactly; scientific/fractional tokens
-    // fall back to the double value.
-    if (scalar_.find_first_of(".eE") == std::string::npos &&
-        !scalar_.empty() && scalar_[0] != '-')
-        return std::strtoull(scalar_.c_str(), nullptr, 10);
-    return static_cast<std::uint64_t>(asDouble());
+    // Plain digit tokens parse exactly (strtoull flags overflow);
+    // signed, scientific and fractional tokens go through the double
+    // value, which must be integral and inside [0, 2^64).
+    if (scalar_.find_first_of("-.eE") == std::string::npos) {
+        errno = 0;
+        const std::uint64_t v = std::strtoull(scalar_.c_str(), nullptr, 10);
+        return errno == ERANGE ? std::nullopt : std::optional(v);
+    }
+    const double d = asDouble();
+    if (!(d >= 0.0 && d < 0x1p64) || d != std::floor(d))
+        return std::nullopt;
+    return static_cast<std::uint64_t>(d);
 }
 
 const std::string &
@@ -65,7 +73,7 @@ JsonValue::members() const
 }
 
 const JsonValue *
-JsonValue::get(const std::string &key) const
+JsonValue::get(std::string_view key) const
 {
     if (!isObject())
         return nullptr;
@@ -410,33 +418,30 @@ parseJson(const std::string &text, JsonValue &out, std::string *err)
     return p.parseDocument(out);
 }
 
-namespace {
-
-void
-writeEscaped(std::ostream &os, const std::string &s)
+std::string
+jsonEscape(std::string_view s)
 {
-    os << '"';
+    std::string out;
+    out.reserve(s.size());
     for (const char c : s) {
         switch (c) {
-          case '"':  os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
+          case '"':  out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
           default:
             if (static_cast<unsigned char>(c) < 0x20) {
                 char buf[8];
                 std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
+                out += buf;
             } else {
-                os << c;
+                out += c;
             }
         }
     }
-    os << '"';
+    return out;
 }
-
-} // anonymous namespace
 
 void
 writeJsonCompact(std::ostream &os, const JsonValue &v)
@@ -454,7 +459,7 @@ writeJsonCompact(std::ostream &os, const JsonValue &v)
         os << v.numberToken();
         break;
       case JsonValue::Kind::String:
-        writeEscaped(os, v.asString());
+        os << '"' << jsonEscape(v.asString()) << '"';
         break;
       case JsonValue::Kind::Array: {
         os << '[';
@@ -475,7 +480,7 @@ writeJsonCompact(std::ostream &os, const JsonValue &v)
             if (!first)
                 os << ',';
             first = false;
-            writeEscaped(os, key);
+            os << '"' << jsonEscape(key) << '"';
             os << ':';
             writeJsonCompact(os, member);
         }

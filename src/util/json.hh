@@ -14,7 +14,9 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -49,9 +51,11 @@ class JsonValue
     double asDouble() const;
     /**
      * Number as an unsigned 64-bit integer, parsed from the source
-     * token so values above 2^53 survive (asserts isNumber()).
+     * token so values above 2^53 survive (asserts isNumber()). Empty
+     * unless the value is a non-negative integer below 2^64: "-1",
+     * "1.5", "1e30" and "18446744073709551616" are all rejected.
      */
-    std::uint64_t asU64() const;
+    std::optional<std::uint64_t> asU64() const;
     /** Raw number source token (asserts isNumber()). */
     const std::string &numberToken() const;
     /** String payload (asserts isString()). */
@@ -64,7 +68,7 @@ class JsonValue
     members() const;
 
     /** Member lookup; null when absent or not an object. */
-    const JsonValue *get(const std::string &key) const;
+    const JsonValue *get(std::string_view key) const;
 
     // --- Construction (used by the parser) ---
     static JsonValue makeNull();
@@ -94,6 +98,12 @@ class JsonValue
  */
 bool parseJson(const std::string &text, JsonValue &out,
                std::string *err = nullptr);
+
+/**
+ * @p s escaped for a JSON string literal (quotes not included), with
+ * every control character escaped so strict parsers accept it.
+ */
+std::string jsonEscape(std::string_view s);
 
 /**
  * Serialize @p v compactly (no whitespace). Object member order and

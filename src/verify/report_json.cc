@@ -1,5 +1,6 @@
 #include <ostream>
 
+#include "util/json.hh"
 #include "util/strings.hh"
 #include "verify/campaign.hh"
 
@@ -7,19 +8,6 @@ namespace wlcache {
 namespace verify {
 
 namespace {
-
-std::string
-esc(const std::string &s)
-{
-    std::string o;
-    o.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            o += '\\';
-        o += c;
-    }
-    return o;
-}
 
 const char *
 boolStr(bool b)
@@ -34,8 +22,8 @@ writeCampaignReportJson(std::ostream &os, const CampaignReport &r)
 {
     os << "{\n";
     os << "  \"report_version\": 2,\n";
-    os << "  \"workload\": \"" << esc(r.workload) << "\",\n";
-    os << "  \"design\": \"" << esc(r.design) << "\",\n";
+    os << "  \"workload\": \"" << util::jsonEscape(r.workload) << "\",\n";
+    os << "  \"design\": \"" << util::jsonEscape(r.design) << "\",\n";
 
     os << "  \"golden\": {\n";
     os << "    \"clean\": " << boolStr(r.golden_clean) << ",\n";
@@ -47,7 +35,7 @@ writeCampaignReportJson(std::ostream &os, const CampaignReport &r)
     os << "    \"final_state_correct\": "
        << boolStr(r.golden.final_state_correct) << ",\n";
     os << "    \"final_state_digest\": \""
-       << esc(r.golden.final_state_digest) << "\"\n  },\n";
+       << util::jsonEscape(r.golden.final_state_digest) << "\"\n  },\n";
 
     os << "  \"summary\": {\n";
     os << "    \"points\": " << r.points.size() << ",\n";
@@ -72,10 +60,10 @@ writeCampaignReportJson(std::ostream &os, const CampaignReport &r)
            << ", \"final_state_correct\": "
            << boolStr(p.final_state_correct)
            << ", \"final_state_digest\": \""
-           << esc(p.final_state_digest) << "\"";
+           << util::jsonEscape(p.final_state_digest) << "\"";
         if (p.has_first_divergence) {
             os << ", \"first_divergence\": {\"kind\": \""
-               << esc(p.first_divergence_kind) << "\", \"addr\": "
+               << util::jsonEscape(p.first_divergence_kind) << "\", \"addr\": "
                << p.first_divergence_addr << ", \"cycle\": "
                << p.first_divergence_cycle << ", \"outage\": "
                << p.first_divergence_outage << "}";
@@ -98,7 +86,7 @@ writeCampaignReportJson(std::ostream &os, const CampaignReport &r)
                << e.cycle << ", \"type\": \""
                << telemetry::eventTypeName(e.type) << "\", \"track\": \""
                << telemetry::trackName(telemetry::eventTrack(e.type))
-               << "\", \"comp\": \"" << esc(e.comp) << "\", \"a0\": "
+               << "\", \"comp\": \"" << util::jsonEscape(e.comp) << "\", \"a0\": "
                << e.a0 << ", \"a1\": " << e.a1 << ", \"v\": "
                << util::fmtExact(e.v) << '}'
                << (i + 1 < r.divergence_window.size() ? ",\n" : "\n");

@@ -140,6 +140,16 @@ TEST(SweepSpec, RejectsNonIntegerAndBelowMinimum)
                      "$.base.scale", "wants an integer");
     expectDiagnostic(parseErr(R"({"base": {"wl.maxline": 0}})"),
                      "$.base.wl.maxline", "wants a value >= 1");
+    // Past the target field's range the apply cast would be undefined
+    // behaviour, so the value is rejected with the bound named.
+    expectDiagnostic(
+        parseErr(R"({"base": {"workload": "sha", "scale": 1e12}})"),
+        "$.base.scale", "wants a value <= 4294967295, got 1e12");
+    expectDiagnostic(parseErr(R"({"base": {"power_seed": 2e19}})"),
+                     "$.base.power_seed",
+                     "wants a value <= 18446744073709551615");
+    parseOk(R"({"base": {"scale": 4294967295,
+                         "power_seed": 18446744073709549568}})");
 }
 
 TEST(SweepSpec, RejectsUnknownDesignAndWorkload)
@@ -340,6 +350,17 @@ TEST(Expansion, DerivedViolatingConstraintsFailsCleanly)
     std::string err;
     EXPECT_FALSE(expandPoints(spec, points, &err));
     expectDiagnostic(err, "wl.maxline", ">= 1");
+
+    // A derived value past the target field's range fails the same
+    // way instead of reaching the unsigned cast.
+    const auto big = parseOk(R"({
+        "axes": [{"param": "wl.waterline_gap", "values": [2]}],
+        "derived": [{"param": "wl.maxline",
+                     "source": "wl.waterline_gap", "mul": 3e9}]
+    })");
+    EXPECT_FALSE(expandPoints(big, points, &err));
+    expectDiagnostic(err, "derived 'wl.maxline'",
+                     "wants a value <= 4294967295, got 6000000000");
 }
 
 TEST(Expansion, RejectsInvalidIcacheGeometryBeforeAnyRun)

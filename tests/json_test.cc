@@ -77,6 +77,18 @@ TEST(Json, NumberEdgeCases)
     EXPECT_DOUBLE_EQ(parseOk("0.125").asDouble(), 0.125);
     EXPECT_DOUBLE_EQ(parseOk("0e0").asDouble(), 0.0);
     EXPECT_DOUBLE_EQ(parseOk("0.0e-2").asDouble(), 0.0);
+
+    // asU64() takes only a non-negative integer below 2^64; anything
+    // else (a cache record from outside) reads as empty rather than
+    // through an out-of-range cast.
+    EXPECT_EQ(parseOk("1e3").asU64(), 1000u);
+    EXPECT_EQ(parseOk("-0").asU64(), 0u);
+    EXPECT_EQ(parseOk("-1").asU64(), std::nullopt);
+    EXPECT_EQ(parseOk("1.5").asU64(), std::nullopt);
+    EXPECT_EQ(parseOk("1e30").asU64(), std::nullopt);
+    EXPECT_EQ(parseOk("18446744073709551616").asU64(), std::nullopt);
+    EXPECT_EQ(parseOk("99999999999999999999999").asU64(), std::nullopt);
+    EXPECT_EQ(parseOk("1.8446744073709552e19").asU64(), std::nullopt);
 }
 
 TEST(Json, RejectsNonJsonNumberForms)
@@ -103,6 +115,21 @@ TEST(Json, StringEscapes)
     EXPECT_EQ(parseOk(R"("back\\slash")").asString(), "back\\slash");
     EXPECT_EQ(parseOk(R"("sol\/idus")").asString(), "sol/idus");
     EXPECT_EQ(parseOk(R"("A")").asString(), "A");
+
+    // Every control character is escaped on the way out, so a strict
+    // parser accepts the text, and reads back as the same bytes.
+    std::string all;
+    for (int c = 1; c < 0x20; ++c)
+        all += static_cast<char>(c);
+    all += "\"q\\";
+    const std::string escaped = jsonEscape(all);
+    for (const char c : escaped)
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << escaped;
+    EXPECT_EQ(jsonEscape("a\nb\x01"), "a\\nb\\u0001");
+    EXPECT_EQ(parseOk('"' + escaped + '"').asString(), all);
+    std::ostringstream os;
+    writeJsonCompact(os, parseOk('"' + escaped + '"'));
+    EXPECT_EQ(os.str(), '"' + escaped + '"');
 }
 
 TEST(Json, ArraysAndObjects)
