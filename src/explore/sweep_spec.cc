@@ -468,22 +468,20 @@ checkValue(const ParamDef &def, const ParamValue &v,
             *err = path + ": " + why;
         return false;
     };
+    const std::string wants =
+        std::string("parameter '") + def.name + "' wants ";
     if (v.kind != def.type)
-        return fail(std::string("parameter '") + def.name + "' wants " +
-                    kindName(def.type) + ", got " + kindName(v.kind));
+        return fail(wants + kindName(def.type) + ", got " +
+                    kindName(v.kind));
     if (v.kind == ParamValue::Kind::Number) {
         if (def.int_max && v.num != std::floor(v.num))
-            return fail(std::string("parameter '") + def.name +
-                        "' wants an integer, got " + v.text);
+            return fail(wants + "an integer, got " + v.text);
         // Past the field's range the apply cast would be undefined.
-        if (def.int_max &&
-            v.num >= static_cast<double>(def.int_max) + 1.0)
-            return fail(std::string("parameter '") + def.name +
-                        "' wants a value <= " +
+        if (def.int_max && v.num >= static_cast<double>(def.int_max) + 1.0)
+            return fail(wants + "a value <= " +
                         std::to_string(def.int_max) + ", got " + v.text);
         if (v.num < def.min_num)
-            return fail(std::string("parameter '") + def.name +
-                        "' wants a value >= " +
+            return fail(wants + "a value >= " +
                         numValue(def.min_num).text + ", got " + v.text);
     }
     std::string why;

@@ -144,7 +144,8 @@ Runner::writeManifest(const JobSet &set) const
         << "  \"total\": " << stats_.total << ",\n"
         << "  \"cache_hits\": " << stats_.cache_hits << ",\n"
         << "  \"executed\": " << stats_.executed << ",\n"
-        << "  \"cache_dir\": \"" << util::jsonEscape(cfg_.cache_dir) << "\",\n"
+        << "  \"cache_dir\": \"" << util::jsonEscape(cfg_.cache_dir)
+        << "\",\n"
         << "  \"wall_seconds\": " << wall << ",\n"
         << "  \"results\": [\n";
     for (std::size_t i = 0; i < stats_.records.size(); ++i) {
@@ -155,8 +156,8 @@ Runner::writeManifest(const JobSet &set) const
                       1e3 * rec.wall_seconds);
         std::snprintf(ts, sizeof(ts), "%.6f", rec.t_start_s);
         std::snprintf(te, sizeof(te), "%.6f", rec.t_end_s);
-        out << "    {\"id\": \"" << util::jsonEscape(rec.id) << "\", \"key\": \""
-            << rec.key << "\", \"workload\": \""
+        out << "    {\"id\": \"" << util::jsonEscape(rec.id)
+            << "\", \"key\": \"" << rec.key << "\", \"workload\": \""
             << util::jsonEscape(job.spec.workload) << "\", \"design\": \""
             << nvp::designKindName(job.spec.design)
             << "\", \"cached\": " << (rec.cached ? "true" : "false")

@@ -480,8 +480,7 @@ writeJsonCompact(std::ostream &os, const JsonValue &v)
             if (!first)
                 os << ',';
             first = false;
-            os << '"' << jsonEscape(key) << '"';
-            os << ':';
+            os << '"' << jsonEscape(key) << "\":";
             writeJsonCompact(os, member);
         }
         os << '}';

@@ -63,8 +63,8 @@ writeCampaignReportJson(std::ostream &os, const CampaignReport &r)
            << util::jsonEscape(p.final_state_digest) << "\"";
         if (p.has_first_divergence) {
             os << ", \"first_divergence\": {\"kind\": \""
-               << util::jsonEscape(p.first_divergence_kind) << "\", \"addr\": "
-               << p.first_divergence_addr << ", \"cycle\": "
+               << util::jsonEscape(p.first_divergence_kind)
+               << "\", \"addr\": " << p.first_divergence_addr << ", \"cycle\": "
                << p.first_divergence_cycle << ", \"outage\": "
                << p.first_divergence_outage << "}";
         } else {
@@ -86,8 +86,8 @@ writeCampaignReportJson(std::ostream &os, const CampaignReport &r)
                << e.cycle << ", \"type\": \""
                << telemetry::eventTypeName(e.type) << "\", \"track\": \""
                << telemetry::trackName(telemetry::eventTrack(e.type))
-               << "\", \"comp\": \"" << util::jsonEscape(e.comp) << "\", \"a0\": "
-               << e.a0 << ", \"a1\": " << e.a1 << ", \"v\": "
+               << "\", \"comp\": \"" << util::jsonEscape(e.comp)
+               << "\", \"a0\": " << e.a0 << ", \"a1\": " << e.a1 << ", \"v\": "
                << util::fmtExact(e.v) << '}'
                << (i + 1 < r.divergence_window.size() ? ",\n" : "\n");
         }
